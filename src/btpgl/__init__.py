@@ -2,7 +2,6 @@
 combinatorial distances in the lattice-class building for PGL."""
 
 from .building import (
-    Apartment,
     ClassKey,
     adjacent,
     bfs_ball,
@@ -11,7 +10,6 @@ from .building import (
     class_key,
     dist,
     gaussian_binomial,
-    in_apartment,
     neighbors,
 )
 from .cycles import (
@@ -30,6 +28,7 @@ from .cycles import (
     higherdim_vertex_family,
     hyperplane_kernel,
     intersect_hyperplanes,
+    nearest_family_member,
     properness_check,
     random_instance,
     realized_forms,

@@ -3,8 +3,9 @@
 Homothety classes of full-rank lattices are the vertices; two distinct
 classes are adjacent when representatives satisfy pN < M < N.  This module
 provides canonical class keys, class equality, adjacency, the invariant-factor
-distance formula, apartment membership, neighbor enumeration over F_p, a BFS
-distance oracle, and DOT export of BFS balls.
+distance formula, neighbor enumeration over F_p, a BFS distance oracle, and
+DOT export of BFS balls.  Apartment membership is distance 0 to a vertex
+family of frame lines (:func:`btpgl.cycles.nearest_family_member`).
 
 Distances in production code always go through the invariant-factor formula;
 BFS exists purely as an independent oracle.  Internally the BFS propagates
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
@@ -27,7 +27,7 @@ from math import lcm
 from . import linalg
 from .errors import EnumerationTooLarge
 from .lattices import LatticeBasis, invariant_exponents
-from .padic import PAdicContext, int_val
+from .padic import int_val
 
 DEFAULT_ENUMERATION_CAP = 10**6
 ENUMERATION_CAP_ENV = "BTPGL_ENUM_CAP"
@@ -243,45 +243,6 @@ def dist(l1: LatticeBasis, l2: LatticeBasis) -> int:
     return exps[-1] - exps[0]
 
 
-@dataclass(frozen=True)
-class Apartment:
-    """A frame of n independent lines; its vertex classes are the lattices
-    diagonalizable with respect to the frame."""
-
-    ctx: PAdicContext
-    lines: tuple
-
-    def __post_init__(self):
-        n = len(self.lines)
-        lines = tuple(tuple(Fraction(x) for x in v) for v in self.lines)
-        object.__setattr__(self, "lines", lines)
-        if any(len(v) != n for v in lines):
-            raise ValueError("need n spanning vectors of length n")
-        if linalg.det(linalg.columns_to_rows(lines)) == 0:
-            raise ValueError("spanning vectors are linearly dependent")
-
-    def frame_rows(self):
-        return linalg.columns_to_rows(self.lines)
-
-
-def in_apartment(ap: Apartment, lattice: LatticeBasis):
-    """Exponent witness (k_1, ..., k_n), normalized to min 0, when the class
-    of the lattice is diagonalizable in the apartment's frame; None otherwise.
-
-    Criterion: scaling each row of the frame-coordinate transition matrix to
-    minimal valuation 0 must leave a unimodular matrix.
-    """
-    if ap.ctx.p != lattice.ctx.p:
-        raise ValueError("mismatched contexts")
-    ctx = ap.ctx
-    t = linalg.matmul(linalg.inv(ap.frame_rows()), lattice.rows())
-    mins = [min(ctx.val(x) for x in row if x) for row in t]
-    if ctx.val(linalg.det(t)) != sum(mins):
-        return None
-    lo = min(mins)
-    return tuple(m - lo for m in mins)
-
-
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^n."""
     num = den = 1
@@ -297,9 +258,9 @@ def neighbor_count(n: int, p: int) -> int:
 
 
 def enumeration_cap() -> int:
-    raw = os.environ.get(ENUMERATION_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
+    raw = os.environ.get(ENUMERATION_CAP_ENV, str(DEFAULT_ENUMERATION_CAP))
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{ENUMERATION_CAP_ENV} must be a non-negative integer, got {raw!r}")
     return int(raw)
 
 

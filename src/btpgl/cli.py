@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes partition the failure classes so campaign scripts can triage
-without parsing stderr: 1 parse/validation error, 2 improper intersection,
-3 identity or oracle disagreement, 4 enumeration cap exceeded.
+without parsing stderr: 1 parse, validation or file error, 2 improper
+intersection, 3 identity or oracle disagreement, 4 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(path, "file not found") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
 
@@ -274,7 +272,7 @@ def main(argv=None) -> int:
     except EnumerationTooLarge as exc:
         print(f"EnumerationTooLarge: {exc}", file=sys.stderr)
         return EXIT_ENUMERATION
-    except (ValueError, BtpglError) as exc:
+    except (ValueError, BtpglError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -6,6 +6,8 @@ intersection numbers of properly meeting cycles (the determinant valuation of
 an assembled form matrix), builds the vertex family generated by the partial
 intersections L_j of the cycles, and checks the identity between the
 intersection number and the combinatorial distance from {M} to that family.
+That distance is a closed form in the valuations of one transition matrix,
+and comes with a nearest family member as witness.
 For cycles meeting properly in positive dimension it computes the
 decomposition of the intersection cycle into the closure of the generic-fibre
 component (multiplicity one) and a special-fibre component whose multiplicity
@@ -24,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import linalg
-from .building import class_key
+from .building import class_key, dist
 from .errors import (
     GenerationExhausted,
     ImproperGenericIntersection,
@@ -191,7 +193,9 @@ def hyperplane_kernel(form: DualForm) -> SplitSubmodule:
     return saturate_coords(form.ambient, null)
 
 
-def _coefficient_matrix(forms):
+def intersect_hyperplanes(forms) -> int:
+    """Intersection number of n hyperplanes meeting properly on the generic
+    fibre: the valuation of the determinant of their coefficient matrix."""
     forms = list(forms)
     if not forms:
         raise ValueError("need at least one form")
@@ -202,14 +206,7 @@ def _coefficient_matrix(forms):
     for f in forms:
         if f.ambient != ambient:
             raise ValueError("forms must share the ambient lattice")
-    return ambient, [[forms[j].coefficients[i] for j in range(n)] for i in range(n)]
-
-
-def intersect_hyperplanes(forms) -> int:
-    """Intersection number of n hyperplanes meeting properly on the generic
-    fibre: the valuation of the determinant of their coefficient matrix."""
-    ambient, a = _coefficient_matrix(forms)
-    d = linalg.det(a)
+    d = linalg.det([[forms[j].coefficients[i] for j in range(n)] for i in range(n)])
     if d == 0:
         raise ImproperGenericIntersection("coefficient matrix is singular")
     return ambient.ctx.val(d)
@@ -286,94 +283,6 @@ def vertex_family(cfg: CycleConfiguration) -> VertexFamily:
     return VertexFamily(cfg.ambient, tuple(gens))
 
 
-class _MinorValuationProfile:
-    """Valuations of the minors of the fixed transition matrix T0, organized
-    so that the distance from {M} to any scaled family member is a handful of
-    integer operations.
-
-    Scaling generator j by p^{k_j} multiplies each minor with row set I by
-    p^{-sum of k over I}, and the extreme invariant-factor exponents are
-    partial minima of minor valuations, so only row subsets of sizes 1, n-1
-    and n matter.
-    """
-
-    def __init__(self, ctx, t0_rows, row_block):
-        n = len(t0_rows)
-        self.n = n
-        nblocks = max(row_block) + 1
-        masks_by_size = [[] for _ in range(n + 1)]
-        for mask in range(1, 1 << n):
-            masks_by_size[mask.bit_count()].append(mask)
-        dets = {}
-        for i in range(n):
-            for j in range(n):
-                dets[(1 << i, 1 << j)] = Fraction(t0_rows[i][j])
-        for size in range(2, n + 1):
-            for rmask in masks_by_size[size]:
-                r = rmask.bit_length() - 1
-                rrest = rmask ^ (1 << r)
-                row = t0_rows[r]
-                for cmask in masks_by_size[size]:
-                    cols = [c for c in range(n) if cmask >> c & 1]
-                    acc = Fraction(0)
-                    sign = 1 if (size - 1) % 2 == 0 else -1
-                    for idx, c in enumerate(cols):
-                        a = row[c]
-                        if a:
-                            sub = dets[(rrest, cmask ^ (1 << c))]
-                            if sub:
-                                acc += sign * a * sub if idx % 2 == 0 else -sign * a * sub
-                    dets[(rmask, cmask)] = acc
-
-        def mask_counts(mask):
-            counts = [0] * nblocks
-            for i in range(n):
-                if mask >> i & 1:
-                    counts[row_block[i]] += 1
-            return tuple(counts)
-
-        def row_entries(size):
-            entries = []
-            for rmask in masks_by_size[size]:
-                vals = [
-                    ctx.val(dets[(rmask, cmask)])
-                    for cmask in masks_by_size[size]
-                    if dets[(rmask, cmask)]
-                ]
-                if vals:
-                    entries.append((min(vals), mask_counts(rmask)))
-            return entries
-
-        self.singles = row_entries(1)
-        self.co_singles = row_entries(n - 1) if n > 1 else []
-        full = (1 << n) - 1
-        self.total_val = ctx.val(dets[(full, full)])
-        self.block_sizes = mask_counts(full)
-
-    def distance(self, kvec) -> int:
-        """max - min of the invariant exponents of the row-scaled transition."""
-        m1 = min(v - sum(c * k for c, k in zip(counts, kvec)) for v, counts in self.singles)
-        if self.n == 1:
-            mn1 = 0
-        else:
-            mn1 = min(v - sum(c * k for c, k in zip(counts, kvec)) for v, counts in self.co_singles)
-        mn = self.total_val - sum(c * k for c, k in zip(self.block_sizes, kvec))
-        return (mn - mn1) - m1
-
-
-def _family_profile(lattice: LatticeBasis, family: VertexFamily) -> _MinorValuationProfile:
-    ambient = family.ambient
-    cols = family.concatenated_columns()
-    t0 = linalg.inv(linalg.columns_to_rows(cols))
-    if lattice != ambient:
-        rel = linalg.matmul(ambient.inverse_rows(), lattice.rows())
-        t0 = linalg.matmul(t0, rel)
-    row_block = []
-    for b, g in enumerate(family.generators):
-        row_block.extend([b] * g.rank)
-    return _MinorValuationProfile(ambient.ctx, t0, row_block)
-
-
 def _tuples_with_spread(nfree: int, spread: int):
     """All integer tuples of length nfree+1 ending in 0 whose max - min,
     including the trailing 0, equals the given spread."""
@@ -388,41 +297,57 @@ def _tuples_with_spread(nfree: int, spread: int):
                 yield vals
 
 
-def distance_to_family(lattice: LatticeBasis, family: VertexFamily) -> int:
-    """Exact minimal distance from the lattice class to the family's vertices.
+def nearest_family_member(lattice: LatticeBasis, family: VertexFamily):
+    """Exact distance from the lattice class to the family's vertices, with
+    the exponents (normalized to min 0) of a member at that distance.
 
-    With B0 the distance to the all-zero member, the distance between the
-    all-zero member and any scaled member equals the exponent spread, so the
-    triangle inequality confines every minimizer to spreads at most 2*B0.
-    Candidates are scanned in order of increasing spread with the last
-    exponent pinned to 0 (homothety), stopping once no remaining spread can
-    beat the best value found; the result is the exact minimum.
+    Let T = F^{-1} M^{-1} L be the transition from the concatenated generator
+    basis F (in coordinates of the ambient M) to the lattice L, with rows
+    grouped by generator block a.  Let V_a be the minimal valuation of the
+    entries in T's rows of block a and U_a that of the entries in the columns
+    of T^{-1} of block a.  The member with exponents k has transition
+    A = D_k^{-1} T, D_k = diag(p^{k_a}) blockwise.  The extreme invariant
+    exponents of A are min val(A) and -min val(A^{-1}), and
+    A^{-1} = T^{-1} D_k, so
+
+        dist(k) = max_a (k_a - V_a) + max_a (-U_a - k_a).
+
+    For every block b the first maximum is >= k_b - V_b and the second is
+    >= -U_b - k_b, so dist(k) >= -(V_b + U_b).  At k = V the first maximum
+    is 0 and the second is max_a -(V_a + U_a), so the minimum over all
+    members is max_a -(V_a + U_a), attained at k = V.
     """
-    profile = _family_profile(lattice, family)
-    m = len(family.generators)
-    b0 = profile.distance((0,) * m)
-    if b0 == 0:
-        return 0
-    best = b0
-    for spread in range(1, 2 * b0 + 1):
-        if spread - b0 > best:
-            break
-        for kvec in _tuples_with_spread(m - 1, spread):
-            d = profile.distance(kvec)
-            if d < best:
-                best = d
-                if best == 0:
-                    return 0
-    return best
+    ambient = family.ambient
+    ctx = ambient.ctx
+    f = linalg.columns_to_rows(family.concatenated_columns())
+    t, t_inv = linalg.inv(f), f
+    if lattice != ambient:
+        t = linalg.matmul(t, linalg.matmul(ambient.inverse_rows(), lattice.rows()))
+        t_inv = linalg.matmul(linalg.matmul(lattice.inverse_rows(), ambient.rows()), f)
+    v, u = [], []
+    start = 0
+    for g in family.generators:
+        block = range(start, start + g.rank)
+        start += g.rank
+        v.append(min(ctx.val(x) for i in block for x in t[i] if x))
+        u.append(min(ctx.val(row[i]) for row in t_inv for i in block if row[i]))
+    lo = min(v)
+    return max(-(va + ua) for va, ua in zip(v, u)), tuple(va - lo for va in v)
+
+
+def distance_to_family(lattice: LatticeBasis, family: VertexFamily) -> int:
+    """Exact distance from the lattice class to the family (closed form)."""
+    return nearest_family_member(lattice, family)[0]
 
 
 def family_window_keys(reference: LatticeBasis, family: VertexFamily):
     """Class keys of every family member in the exactness window around the
-    reference, for use as a BFS target set.  No pruning is applied: the whole
-    window of exponent tuples with spread at most 2*B0 is enumerated."""
-    profile = _family_profile(reference, family)
+    reference, for use as a BFS target set.  With B0 the distance to the
+    all-zero member, a member's distance to it is its exponent spread, so
+    every nearest member has spread at most 2*B0; the whole window of such
+    tuples (last exponent pinned to 0) is enumerated without pruning."""
     m = len(family.generators)
-    b0 = profile.distance((0,) * m)
+    b0 = dist(reference, family.member_lattice((0,) * m))
     keys = set()
     for spread in range(0, 2 * b0 + 1):
         for kvec in _tuples_with_spread(m - 1, spread):
@@ -472,10 +397,9 @@ def apartment_lines(forms):
     Requires the coefficient matrix to be nonsingular; the lines then span V
     and define the apartment attached to the generic-fibre hyperplanes.
     """
-    ambient, a = _coefficient_matrix(forms)
-    if linalg.det(a) == 0:
-        raise ImproperGenericIntersection("coefficient matrix is singular")
     forms = list(forms)
+    intersect_hyperplanes(forms)  # validates the forms, raises when singular
+    ambient = forms[0].ambient
     n = ambient.dim
     lines = []
     for j in range(n):
@@ -495,14 +419,12 @@ def apartment_distance_report(forms) -> ApartmentReport:
     smaller (it is the largest diagonal valuation after triangularization,
     while the intersection number is the sum).
     """
-    ambient, a = _coefficient_matrix(forms)
-    d = linalg.det(a)
-    if d == 0:
-        raise ImproperGenericIntersection("coefficient matrix is singular")
-    family = VertexFamily(ambient, tuple(apartment_lines(forms)))
+    forms = list(forms)
+    lines = tuple(apartment_lines(forms))
+    family = VertexFamily(lines[0].ambient, lines)
     return ApartmentReport(
-        dist_to_apartment=distance_to_family(ambient, family),
-        intersection_number=ambient.ctx.val(d),
+        dist_to_apartment=distance_to_family(family.ambient, family),
+        intersection_number=intersect_hyperplanes(forms),
     )
 
 

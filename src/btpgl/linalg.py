@@ -264,21 +264,6 @@ def rank_mod_p(rows, p) -> int:
     return len(echelon_mod_p(rows, p)[0])
 
 
-def nullspace_mod_p(rows, p):
-    """Basis of the right kernel mod p, as canonical int vectors."""
-    ncols = len(rows[0]) if rows else 0
-    ech, pivots = echelon_mod_p(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-ech[i][fc]) % p
-        basis.append(v)
-    return basis
-
-
 def intersect_mod_p(a_rows, b_rows, p):
     """Basis of span(a) intersected with span(b) over F_p (Zassenhaus block trick)."""
     if not a_rows or not b_rows:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cycles import CycleConfiguration, CycleDecomposition, IdentityReport, hyperplane_kernel
+from .cycles import CycleConfiguration, CycleDecomposition, hyperplane_kernel
 from .errors import SchemaError
 from .lattices import DualForm, LatticeBasis, SplitSubmodule
 from .padic import PAdicContext
@@ -80,13 +80,6 @@ def _parse_lattice(ctx: PAdicContext, data, n: int, field: str) -> LatticeBasis:
 
 def lattice_to_json(lattice: LatticeBasis):
     return matrix_to_json(lattice.rows())
-
-
-def submodule_to_json(sub: SplitSubmodule):
-    return {
-        "ambient": lattice_to_json(sub.ambient),
-        "columns": [[scalar_to_str(x) for x in col] for col in sub.columns],
-    }
 
 
 def instance_to_json(p: int, lattice: LatticeBasis, cycles) -> dict:
@@ -182,12 +175,3 @@ def decomposition_to_json(dec: CycleDecomposition) -> dict:
         "special_multiplicity": dec.special_multiplicity,
     }
 
-
-def identity_report_to_json(report: IdentityReport, decomposition=None) -> dict:
-    return {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "agree": report.agree,
-        "properness": report.properness.kind.value,
-        "decomposition": decomposition_to_json(decomposition) if decomposition else None,
-    }

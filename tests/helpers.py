@@ -10,7 +10,7 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 from btpgl import linalg
-from btpgl.cycles import CycleConfiguration
+from btpgl.cycles import CycleConfiguration, VertexFamily, _tuples_with_spread
 from btpgl.lattices import LatticeBasis, SplitSubmodule
 from btpgl.padic import int_val
 
@@ -93,3 +93,119 @@ def rebase(cfg: CycleConfiguration, u_rows) -> CycleConfiguration:
         for s in cfg.submodules
     ]
     return CycleConfiguration(amb2, subs)
+
+
+class MinorValuationProfile:
+    """Valuations of the minors of the fixed transition matrix T0, organized
+    so that the distance from {M} to any scaled family member is a handful of
+    integer operations.
+
+    Scaling generator j by p^{k_j} multiplies each minor with row set I by
+    p^{-sum of k over I}, and the extreme invariant-factor exponents are
+    partial minima of minor valuations, so only row subsets of sizes 1, n-1
+    and n matter.
+    """
+
+    def __init__(self, ctx, t0_rows, row_block):
+        n = len(t0_rows)
+        self.n = n
+        nblocks = max(row_block) + 1
+        masks_by_size = [[] for _ in range(n + 1)]
+        for mask in range(1, 1 << n):
+            masks_by_size[mask.bit_count()].append(mask)
+        dets = {}
+        for i in range(n):
+            for j in range(n):
+                dets[(1 << i, 1 << j)] = Fraction(t0_rows[i][j])
+        for size in range(2, n + 1):
+            for rmask in masks_by_size[size]:
+                r = rmask.bit_length() - 1
+                rrest = rmask ^ (1 << r)
+                row = t0_rows[r]
+                for cmask in masks_by_size[size]:
+                    cols = [c for c in range(n) if cmask >> c & 1]
+                    acc = Fraction(0)
+                    sign = 1 if (size - 1) % 2 == 0 else -1
+                    for idx, c in enumerate(cols):
+                        a = row[c]
+                        if a:
+                            sub = dets[(rrest, cmask ^ (1 << c))]
+                            if sub:
+                                acc += sign * a * sub if idx % 2 == 0 else -sign * a * sub
+                    dets[(rmask, cmask)] = acc
+
+        def mask_counts(mask):
+            counts = [0] * nblocks
+            for i in range(n):
+                if mask >> i & 1:
+                    counts[row_block[i]] += 1
+            return tuple(counts)
+
+        def row_entries(size):
+            entries = []
+            for rmask in masks_by_size[size]:
+                vals = [
+                    ctx.val(dets[(rmask, cmask)])
+                    for cmask in masks_by_size[size]
+                    if dets[(rmask, cmask)]
+                ]
+                if vals:
+                    entries.append((min(vals), mask_counts(rmask)))
+            return entries
+
+        self.singles = row_entries(1)
+        self.co_singles = row_entries(n - 1) if n > 1 else []
+        full = (1 << n) - 1
+        self.total_val = ctx.val(dets[(full, full)])
+        self.block_sizes = mask_counts(full)
+
+    def distance(self, kvec) -> int:
+        """max - min of the invariant exponents of the row-scaled transition."""
+        m1 = min(v - sum(c * k for c, k in zip(counts, kvec)) for v, counts in self.singles)
+        if self.n == 1:
+            mn1 = 0
+        else:
+            mn1 = min(v - sum(c * k for c, k in zip(counts, kvec)) for v, counts in self.co_singles)
+        mn = self.total_val - sum(c * k for c, k in zip(self.block_sizes, kvec))
+        return (mn - mn1) - m1
+
+
+def family_profile(lattice: LatticeBasis, family: VertexFamily) -> MinorValuationProfile:
+    ambient = family.ambient
+    cols = family.concatenated_columns()
+    t0 = linalg.inv(linalg.columns_to_rows(cols))
+    if lattice != ambient:
+        rel = linalg.matmul(ambient.inverse_rows(), lattice.rows())
+        t0 = linalg.matmul(t0, rel)
+    row_block = []
+    for b, g in enumerate(family.generators):
+        row_block.extend([b] * g.rank)
+    return MinorValuationProfile(ambient.ctx, t0, row_block)
+
+
+def scan_distance_to_family(lattice: LatticeBasis, family: VertexFamily) -> int:
+    """Family distance by bounded search: the oracle for the closed form.
+
+    With B0 the distance to the all-zero member, the distance between the
+    all-zero member and any scaled member equals the exponent spread, so the
+    triangle inequality confines every minimizer to spreads at most 2*B0.
+    Candidates are scanned in order of increasing spread with the last
+    exponent pinned to 0 (homothety), stopping once no remaining spread can
+    beat the best value found.
+    """
+    profile = family_profile(lattice, family)
+    m = len(family.generators)
+    b0 = profile.distance((0,) * m)
+    if b0 == 0:
+        return 0
+    best = b0
+    for spread in range(1, 2 * b0 + 1):
+        if spread - b0 > best:
+            break
+        for kvec in _tuples_with_spread(m - 1, spread):
+            d = profile.distance(kvec)
+            if d < best:
+                best = d
+                if best == 0:
+                    return 0
+    return best

@@ -6,7 +6,6 @@ import pytest
 
 from btpgl import linalg
 from btpgl.building import (
-    Apartment,
     adjacent,
     bfs_ball,
     bfs_dist,
@@ -14,13 +13,13 @@ from btpgl.building import (
     class_key,
     dist,
     gaussian_binomial,
-    in_apartment,
     neighbor_count,
     neighbors,
     render_dot,
 )
+from btpgl.cycles import VertexFamily, nearest_family_member
 from btpgl.errors import EnumerationTooLarge
-from btpgl.lattices import LatticeBasis
+from btpgl.lattices import LatticeBasis, saturate_coords
 from btpgl.padic import PAdicContext
 
 from helpers import random_lattice, random_unimodular
@@ -196,26 +195,35 @@ def test_bfs_matches_formula_distance():
             assert bfs_dist(std, std, {class_key(std, l)}, 4) == (d if d <= 4 else None)
 
 
+def in_apartment(ctx, frame, lattice):
+    """Exponent witness when the lattice class lies in the apartment of the
+    frame lines, else None: distance 0 to the family of saturated lines."""
+    ambient = LatticeBasis.standard(ctx, len(frame))
+    family = VertexFamily(ambient, tuple(saturate_coords(ambient, [v]) for v in frame))
+    distance, witness = nearest_family_member(lattice, family)
+    return witness if distance == 0 else None
+
+
 def test_in_apartment_examples():
-    frame = Apartment(ctx2, ((1, 0), (0, 1)))
+    frame = ((1, 0), (0, 1))
     std = LatticeBasis.standard(ctx2, 2)
-    assert in_apartment(frame, std) == (0, 0)
+    assert in_apartment(ctx2, frame, std) == (0, 0)
     skew = LatticeBasis(ctx2, [(1, 1), (1, -1)])
-    assert in_apartment(frame, skew) is None
-    frame3 = Apartment(ctx3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert in_apartment(ctx2, frame, skew) is None
+    frame3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     scaled = LatticeBasis.diagonal(ctx3, [27, 1, 1])
-    assert in_apartment(frame3, scaled) == (3, 0, 0)
-    assert in_apartment(frame3, scaled.scale(Fraction(1, 3))) == (3, 0, 0)
+    assert in_apartment(ctx3, frame3, scaled) == (3, 0, 0)
+    assert in_apartment(ctx3, frame3, scaled.scale(Fraction(1, 3))) == (3, 0, 0)
 
 
 def test_in_apartment_oblique_frame():
     # det of the frame is -2: a unit at p=3, so the standard lattice belongs
-    frame = Apartment(ctx3, ((1, 1), (1, -1)))
+    frame = ((1, 1), (1, -1))
     member = LatticeBasis(ctx3, [(9, 9), (1, -1)])
-    assert in_apartment(frame, member) == (2, 0)
-    assert in_apartment(frame, LatticeBasis.standard(ctx3, 2)) == (0, 0)
+    assert in_apartment(ctx3, frame, member) == (2, 0)
+    assert in_apartment(ctx3, frame, LatticeBasis.standard(ctx3, 2)) == (0, 0)
     outsider = LatticeBasis(ctx3, [(1, 0), (1, 3)])
-    assert in_apartment(frame, outsider) is None
+    assert in_apartment(ctx3, frame, outsider) is None
 
 
 def test_tree_has_no_cycles_within_radius():

@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
 
+from btpgl import cycles
 from btpgl.cli import main
+from btpgl.padic import PRIME_BOUND
 
 
 def write(path, payload):
@@ -178,3 +181,55 @@ def test_export_dot_cap_exits_4(tmp_path, capsys, monkeypatch):
     rc = main(["export-dot", "--n", "2", "--p", "2", "--radius", "1", "--out", str(tmp_path / "x")])
     assert rc == 4
     assert "EnumerationTooLarge" in capsys.readouterr().err
+
+
+def test_intersect_huge_prime_is_fast(tmp_path, capsys):
+    path = write(tmp_path / "inst.json", manin_instance(10**18 + 3, 2))
+    start = time.perf_counter()
+    assert main(["intersect", path]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out) == {"number": 2}
+
+
+def test_intersect_prime_beyond_certified_bound_exits_1(tmp_path, capsys):
+    path = write(tmp_path / "inst.json", manin_instance(2, 1) | {"p": PRIME_BOUND + 2})
+    assert main(["intersect", path]) == 1
+    assert "invalid input: p:" in capsys.readouterr().err
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_intersect_directory_exits_1(tmp_path, capsys):
+    assert main(["intersect", str(tmp_path)]) == 1
+    assert str(tmp_path) in _one_line_error(capsys)
+
+
+def test_export_dot_missing_out_directory_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert main(["export-dot", "--n", "2", "--p", "2", "--out", str(out)]) == 1
+    assert "missing" in _one_line_error(capsys)
+
+
+def test_verify_dump_into_missing_directory_exits_1(tmp_path, capsys, monkeypatch):
+    def disagree(cfg):
+        return cycles.IdentityReport(lhs=1, rhs=0, agree=False, properness=None)
+
+    monkeypatch.setattr(cycles, "verify_intersection_identity", disagree)
+    rc = main(["verify", "--trials", "1", "--n", "2", "--out", str(tmp_path / "missing")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["agreements"] == 0
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "missing" in captured.err
+
+
+@pytest.mark.parametrize("raw", ["lots", "-1", "1.5", ""])
+def test_bad_enumeration_cap_names_the_variable(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("BTPGL_ENUM_CAP", raw)
+    rc = main(["export-dot", "--n", "2", "--p", "2", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "BTPGL_ENUM_CAP" in capsys.readouterr().err

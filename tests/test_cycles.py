@@ -3,10 +3,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btpgl import linalg
 from btpgl.building import bfs_dist, class_key, dist
 from btpgl.cycles import (
+    MODES,
     CycleConfiguration,
     Properness,
     VertexFamily,
@@ -18,6 +20,7 @@ from btpgl.cycles import (
     higherdim_vertex_family,
     hyperplane_kernel,
     intersect_hyperplanes,
+    nearest_family_member,
     properness_check,
     random_instance,
     realized_forms,
@@ -39,7 +42,13 @@ from btpgl.lattices import (
 )
 from btpgl.padic import PAdicContext
 
-from helpers import apply_automorphism, random_unimodular, rebase
+from helpers import (
+    apply_automorphism,
+    family_profile,
+    random_unimodular,
+    rebase,
+    scan_distance_to_family,
+)
 
 ctx2 = PAdicContext(2)
 ctx3 = PAdicContext(3)
@@ -383,10 +392,8 @@ def test_random_instance_contracts():
 
 
 def test_family_member_distances_match_formula():
-    # the windowed-search evaluator agrees with the invariant-factor distance
-    # on individual family members, including non-ambient reference lattices
-    from btpgl.cycles import _family_profile
-
+    # the oracle's minor-valuation evaluator agrees with the invariant-factor
+    # distance on individual family members, including non-ambient references
     rng = random.Random(19)
     for p in (2, 3):
         for trial in range(6):
@@ -398,11 +405,83 @@ def test_family_member_distances_match_formula():
                 sample.config.ambient.right_multiply(random_unimodular(rng, 3, p)),
             ]
             for lattice in lattices:
-                profile = _family_profile(lattice, fam)
+                profile = family_profile(lattice, fam)
                 for _ in range(6):
                     kvec = tuple(rng.randrange(-2, 3) for _ in fam.generators)
                     member = fam.member_lattice(kvec)
                     assert profile.distance(kvec) == dist(lattice, member)
+
+
+def _family_of(sample):
+    if properness_check(sample.config).kind is Properness.PROPER_HIGHER_DIM:
+        return higherdim_vertex_family(sample.config)
+    return vertex_family(sample.config)
+
+
+def _moved_lattice(rng, ambient, p):
+    """The ambient lattice moved by a random unimodular times p-power diagonal."""
+    n = ambient.dim
+    diag = [[Fraction(p) ** rng.randrange(0, 4) if i == j else 0 for j in range(n)] for i in range(n)]
+    return ambient.right_multiply(linalg.matmul(random_unimodular(rng, n, p), diag))
+
+
+def _check_closed_form(lattice, fam):
+    distance, witness = nearest_family_member(lattice, fam)
+    assert distance_to_family(lattice, fam) == distance == scan_distance_to_family(lattice, fam)
+    assert min(witness) == 0
+    assert dist(lattice, fam.member_lattice(witness)) == distance
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    p=st.sampled_from([2, 3, 5]),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(min_value=0, max_value=10**6),
+    reference=st.sampled_from(["ambient", "scaled", "moved"]),
+)
+def test_closed_form_family_distance_matches_scan(n, p, mode, seed, reference):
+    if mode == "higherdim" and n == 2:
+        mode = "submodules"
+    if mode == "hyperplanes":
+        d = n
+    elif mode == "submodules":
+        d = 2 + seed % (n - 1)
+    else:
+        d = 2 + seed % (n - 2)
+    sample = random_instance(seed=seed, n=n, p=p, d=d, max_val=3, mode=mode)
+    ambient = sample.config.ambient
+    rng = random.Random(seed)
+    lattice = {
+        "ambient": ambient,
+        "scaled": ambient.scale(Fraction(p) ** rng.randrange(-2, 3)),
+        "moved": _moved_lattice(rng, ambient, p),
+    }[reference]
+    _check_closed_form(lattice, _family_of(sample))
+
+
+def test_closed_form_seeded_sweep():
+    # larger cases than the property test: n=5 in every mode and higherdim
+    # with three cycles; the seeds give a positive distance from the ambient
+    rng = random.Random(23)
+    cases = [
+        (97, 5, 2, "hyperplanes", 5),
+        (97, 5, 2, "submodules", 5),
+        (122, 5, 2, "higherdim", 2),
+        (98, 5, 3, "hyperplanes", 5),
+        (98, 5, 3, "submodules", 5),
+        (101, 5, 3, "higherdim", 2),
+        (100, 4, 3, "higherdim", 3),
+        (109, 5, 5, "higherdim", 3),
+        (97, 5, 2, "submodules", 3),
+    ]
+    for seed, n, p, mode, d in cases:
+        sample = random_instance(seed=seed, n=n, p=p, d=d, max_val=3, mode=mode)
+        fam = _family_of(sample)
+        ambient = sample.config.ambient
+        assert distance_to_family(ambient, fam) > 0
+        for lattice in (ambient, _moved_lattice(rng, ambient, p)):
+            _check_closed_form(lattice, fam)
 
 
 def test_family_distance_bfs_oracle_triangle():

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from btpgl import INFINITY, PAdicContext
+from btpgl.padic import PRIME_BOUND, is_prime
 from btpgl.errors import NegativeValuation
 
 
@@ -50,25 +52,6 @@ def test_residue_rejects_negative_valuation():
         PAdicContext(3).residue(Fraction(1, 3))
 
 
-@pytest.mark.parametrize(
-    "p,x,e,expected",
-    [
-        (2, Fraction(1, 3), 3, 3),
-        (3, Fraction(0), 2, 0),
-        (5, Fraction(6), 1, 1),
-    ],
-)
-def test_residue_mod_power_examples(p, x, e, expected):
-    assert PAdicContext(p).residue_mod_power(x, e) == expected
-
-
-def test_residue_mod_power_rejects_negative_valuation():
-    with pytest.raises(NegativeValuation):
-        PAdicContext(2).residue_mod_power(Fraction(3, 4), 2)
-    with pytest.raises(ValueError):
-        PAdicContext(2).residue_mod_power(Fraction(3), 0)
-
-
 @pytest.mark.parametrize("p", [0, 1, 4, 9, 1000])
 def test_context_rejects_non_primes(p):
     with pytest.raises(ValueError):
@@ -78,6 +61,25 @@ def test_context_rejects_non_primes(p):
 def test_context_accepts_desk_scale_primes():
     assert PAdicContext(9973).q == 9973
     assert PAdicContext(2).q == 2
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(10**5):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))), n
+
+
+def test_is_prime_on_large_inputs():
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+    # least strong pseudoprimes to the first k prime bases (OEIS A014233);
+    # the last one passes every base up to 37
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_BOUND)
+    with pytest.raises(ValueError):
+        PAdicContext(PRIME_BOUND)
+    assert PAdicContext(10**18 + 3).q == 10**18 + 3
 
 
 primes = st.sampled_from([2, 3, 5])
@@ -113,16 +115,3 @@ def test_residue_is_ring_homomorphism(data, p):
     y = data.draw(integral_fractions(p))
     assert ctx.residue(x + y) == (ctx.residue(x) + ctx.residue(y)) % p
     assert ctx.residue(x * y) == ctx.residue(x) * ctx.residue(y) % p
-
-
-@given(st.data(), primes)
-def test_residue_mod_first_power_matches_residue(data, p):
-    ctx = PAdicContext(p)
-    x = data.draw(integral_fractions(p))
-    assert ctx.residue_mod_power(x, 1) == ctx.residue(x)
-
-
-def test_unit_part():
-    ctx = PAdicContext(3)
-    assert ctx.unit_part(Fraction(18, 5)) == Fraction(2, 5)
-    assert ctx.unit_part(Fraction(1, 9)) == 1
