@@ -14,6 +14,7 @@ from .building import (
 )
 from .cycles import (
     ApartmentReport,
+    CycleAnalysis,
     CycleConfiguration,
     CycleDecomposition,
     IdentityReport,
@@ -21,6 +22,7 @@ from .cycles import (
     Properness,
     PropernessReport,
     VertexFamily,
+    analyze,
     apartment_distance_report,
     decompose_intersection,
     distance_to_family,

@@ -128,6 +128,7 @@ def cmd_verify(args) -> int:
     rejections = 0
     bfs_checked = 0
     max_lhs = 0
+    failed_seeds = []
     failure = None
     for trial in range(config.trials):
         sample = cycles.random_instance(
@@ -161,14 +162,16 @@ def cmd_verify(args) -> int:
                 agree = found == report.rhs
         if agree:
             agreements += 1
-        elif failure is None:
-            failure = (trial, sample)
+        else:
+            failed_seeds.append(config.seed + trial)
+            failure = failure or (trial, sample)
     wall = time.perf_counter() - start
     summary = {
         "trials": config.trials,
         "agreements": agreements,
         "rejections": rejections,
         "max_lhs": max_lhs,
+        "failed_seeds": failed_seeds,
         "wall_time": round(wall, 3),
     }
     if config.oracle in ("bfs", "both"):

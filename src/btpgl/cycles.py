@@ -13,8 +13,9 @@ decomposition of the intersection cycle into the closure of the generic-fibre
 component (multiplicity one) and a special-fibre component whose multiplicity
 is again a distance to a vertex family.
 
-Everything is pure computation on immutable values; a campaign driver may
-evaluate instances concurrently without shared state.
+Everything is pure computation on immutable values, which keep only
+deterministic caches; a campaign driver may evaluate instances concurrently
+without shared state.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from . import linalg
@@ -70,10 +72,45 @@ class PropernessReport:
     special_dim: int
 
 
-class CycleConfiguration:
-    """A lattice M together with d >= 2 split submodules defining linear cycles."""
+@dataclass(frozen=True)
+class CycleAnalysis:
+    """The intersections every invariant of a configuration is read from.
 
-    __slots__ = ("ambient", "submodules")
+    generic is L0, the saturation of the common K-intersection of the spans;
+    special is the reduced echelon basis of the common F_p-intersection of
+    the reductions; properness classifies the two.  The partial
+    intersections L_j are folded on first use.  It holds the cycles, not
+    the configuration that keeps it, so the two form no reference cycle.
+    """
+
+    submodules: tuple
+    generic: SplitSubmodule
+    special: tuple
+    properness: PropernessReport
+
+    @cached_property
+    def partials(self) -> tuple:
+        """L_j, the saturated K-intersection of all cycles but the j-th, for
+        each j; it must have rank n - r_j + r0."""
+        subs = self.submodules
+        ambient = self.generic.ambient
+        out = []
+        for j, s in enumerate(subs):
+            lj = intersect_spans(ambient, subs[:j] + subs[j + 1 :])
+            expected = ambient.dim - s.rank + self.properness.r0
+            if lj.rank != expected:
+                raise RankMismatch(f"partial intersection {j} has rank {lj.rank}, expected {expected}")
+            out.append(lj)
+        return tuple(out)
+
+
+class CycleConfiguration:
+    """A lattice M together with d >= 2 split submodules defining linear cycles.
+
+    The configuration keeps its :func:`analyze` result once computed.
+    """
+
+    __slots__ = ("ambient", "submodules", "_analysis")
 
     def __init__(self, ambient: LatticeBasis, submodules):
         subs = tuple(submodules)
@@ -89,13 +126,10 @@ class CycleConfiguration:
                 raise ValueError("cycle submodule is not split")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "submodules", subs)
+        object.__setattr__(self, "_analysis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycleConfiguration is immutable")
-
-    @property
-    def d(self) -> int:
-        return len(self.submodules)
 
     def codim_sum(self) -> int:
         n = self.ambient.dim
@@ -212,49 +246,59 @@ def intersect_hyperplanes(forms) -> int:
     return ambient.ctx.val(d)
 
 
-def _special_intersection_rows(cfg: CycleConfiguration):
-    """Reduced echelon basis of the intersection of the reduced spans in F_p^n."""
-    p = cfg.ambient.ctx.p
-    cur = None
-    for s in cfg.submodules:
-        rows = linalg.echelon_mod_p([list(c) for c in s.reduction()], p)[0]
-        cur = rows if cur is None else linalg.intersect_mod_p(cur, rows, p)
-        if not cur:
-            return ()
-    return tuple(tuple(r) for r in cur)
-
-
-def properness_check(cfg: CycleConfiguration) -> PropernessReport:
-    """Classify the configuration by its generic and special intersections.
+def analyze(cfg: CycleConfiguration) -> CycleAnalysis:
+    """Fold the spans and the reductions once and classify properness.
 
     With c the sum of the codimensions: for c = n the cycles meet properly
     exactly when the K-spans meet in 0 and the reductions meet in dimension
     at most 1 (dimension 0 is the empty case); for c < n the expected
     dimension r0 = n - c must be attained over K and the reduced intersection
     may exceed it by at most one.  Everything else is improper on the model.
+
+    The result is kept on the configuration, so every function below reads
+    one analysis per configuration.
     """
+    if cfg._analysis is not None:
+        return cfg._analysis
     n = cfg.ambient.dim
     c = cfg.codim_sum()
-    generic_dim = intersect_spans(cfg.ambient, cfg.submodules).rank
-    special_dim = len(_special_intersection_rows(cfg))
+    p = cfg.ambient.ctx.p
+    generic = intersect_spans(cfg.ambient, cfg.submodules)
+    special = None
+    for s in cfg.submodules:
+        rows = linalg.echelon_mod_p(s.reduction(), p)[0]
+        special = rows if special is None else linalg.intersect_mod_p(special, rows, p)
+        if not special:
+            break
+    generic_dim, special_dim = generic.rank, len(special)
+    r0 = max(n - c, 0)
     if c > n:
         kind = Properness.EMPTY_INTERSECTION if special_dim == 0 else Properness.IMPROPER
-        r0 = 0
-    elif c == n:
-        r0 = 0
-        if generic_dim == 0 and special_dim == 0:
-            kind = Properness.EMPTY_INTERSECTION
-        elif generic_dim == 0 and special_dim == 1:
-            kind = Properness.PROPER_0DIM
-        else:
-            kind = Properness.IMPROPER
+    elif generic_dim != r0 or special_dim > r0 + 1:
+        kind = Properness.IMPROPER
+    elif c < n:
+        kind = Properness.PROPER_HIGHER_DIM
     else:
-        r0 = n - c
-        if generic_dim == r0 and special_dim <= r0 + 1:
-            kind = Properness.PROPER_HIGHER_DIM
-        else:
-            kind = Properness.IMPROPER
-    return PropernessReport(kind=kind, r0=r0, generic_dim=generic_dim, special_dim=special_dim)
+        kind = Properness.PROPER_0DIM if special_dim else Properness.EMPTY_INTERSECTION
+    analysis = CycleAnalysis(
+        submodules=cfg.submodules,
+        generic=generic,
+        special=tuple(tuple(r) for r in special),
+        properness=PropernessReport(kind=kind, r0=r0, generic_dim=generic_dim, special_dim=special_dim),
+    )
+    object.__setattr__(cfg, "_analysis", analysis)
+    return analysis
+
+
+def _require(report: PropernessReport, *kinds) -> None:
+    if report.kind not in kinds:
+        raise ProperFail(f"configuration is {report.kind.value}")
+
+
+def properness_check(cfg: CycleConfiguration) -> PropernessReport:
+    """Classify the configuration by its generic and special intersections
+    (see :func:`analyze`)."""
+    return analyze(cfg).properness
 
 
 def vertex_family(cfg: CycleConfiguration) -> VertexFamily:
@@ -264,23 +308,11 @@ def vertex_family(cfg: CycleConfiguration) -> VertexFamily:
     proper (possibly with empty special-fibre intersection); each L_j then
     has rank n - r_j and their direct sum is all of V.
     """
-    n = cfg.ambient.dim
-    if cfg.codim_sum() != n:
+    if cfg.codim_sum() != cfg.ambient.dim:
         raise ProperFail("codimensions do not sum to the dimension")
-    report = properness_check(cfg)
-    if report.kind not in (Properness.PROPER_0DIM, Properness.EMPTY_INTERSECTION):
-        raise ProperFail(f"configuration is {report.kind.value}")
-    subs = cfg.submodules
-    gens = []
-    for j in range(len(subs)):
-        others = [subs[i] for i in range(len(subs)) if i != j]
-        lj = intersect_spans(cfg.ambient, others)
-        if lj.rank != n - subs[j].rank:
-            raise RankMismatch(
-                f"partial intersection {j} has rank {lj.rank}, expected {n - subs[j].rank}"
-            )
-        gens.append(lj)
-    return VertexFamily(cfg.ambient, tuple(gens))
+    analysis = analyze(cfg)
+    _require(analysis.properness, Properness.PROPER_0DIM, Properness.EMPTY_INTERSECTION)
+    return VertexFamily(cfg.ambient, analysis.partials)
 
 
 def _tuples_with_spread(nfree: int, spread: int):
@@ -384,8 +416,7 @@ def verify_intersection_identity(cfg: CycleConfiguration) -> IdentityReport:
     independently.
     """
     report = properness_check(cfg)
-    if report.kind not in (Properness.PROPER_0DIM, Properness.EMPTY_INTERSECTION):
-        raise ProperFail(f"configuration is {report.kind.value}")
+    _require(report, Properness.PROPER_0DIM, Properness.EMPTY_INTERSECTION)
     lhs = intersect_hyperplanes(realized_forms(cfg))
     rhs = distance_to_family(cfg.ambient, vertex_family(cfg))
     return IdentityReport(lhs=lhs, rhs=rhs, agree=lhs == rhs, properness=report)
@@ -428,26 +459,16 @@ def apartment_distance_report(forms) -> ApartmentReport:
     )
 
 
-def _higherdim_parts(cfg: CycleConfiguration, complements=None):
-    n = cfg.ambient.dim
-    report = properness_check(cfg)
-    if report.kind is not Properness.PROPER_HIGHER_DIM:
-        raise ProperFail(f"configuration is {report.kind.value}")
-    r0 = report.r0
-    l0 = intersect_spans(cfg.ambient, cfg.submodules)
-    if l0.rank != r0:
-        raise RankMismatch(f"common intersection has rank {l0.rank}, expected {r0}")
-    subs = cfg.submodules
-    ljs = []
-    for j in range(len(subs)):
-        others = [subs[i] for i in range(len(subs)) if i != j]
-        lj = intersect_spans(cfg.ambient, others)
-        if lj.rank != n - subs[j].rank + r0:
-            raise RankMismatch(
-                f"partial intersection {j} has rank {lj.rank}, "
-                f"expected {n - subs[j].rank + r0}"
-            )
-        ljs.append(lj)
+def higherdim_vertex_family(cfg: CycleConfiguration, complements=None) -> VertexFamily:
+    """Family generated by complements of the common intersection inside each
+    partial intersection, with the common intersection as the last generator.
+
+    The complements default to the deterministic greedy completion; any valid
+    choice of complements may be supplied instead.
+    """
+    analysis = analyze(cfg)
+    _require(analysis.properness, Properness.PROPER_HIGHER_DIM)
+    l0, ljs = analysis.generic, analysis.partials
     if complements is None:
         comps = [complete_to_complement(lj, l0) for lj in ljs]
     else:
@@ -458,18 +479,7 @@ def _higherdim_parts(cfg: CycleConfiguration, complements=None):
             combined = SplitSubmodule(cfg.ambient, tuple(l0.columns) + tuple(comp.columns))
             if not same_submodule(combined, lj):
                 raise ValueError("supplied complement does not complement the intersection")
-    family = VertexFamily(cfg.ambient, (*comps, l0))
-    return l0, family
-
-
-def higherdim_vertex_family(cfg: CycleConfiguration, complements=None) -> VertexFamily:
-    """Family generated by complements of the common intersection inside each
-    partial intersection, with the common intersection as the last generator.
-
-    The complements default to the deterministic greedy completion; any valid
-    choice of complements may be supplied instead.
-    """
-    return _higherdim_parts(cfg, complements)[1]
+    return VertexFamily(cfg.ambient, (*comps, l0))
 
 
 def decompose_intersection(cfg: CycleConfiguration, complements=None) -> CycleDecomposition:
@@ -481,11 +491,12 @@ def decompose_intersection(cfg: CycleConfiguration, complements=None) -> CycleDe
     model's vertex to the complement family as its multiplicity, which does
     not depend on the choice of complements.
     """
-    l0, family = _higherdim_parts(cfg, complements)
+    family = higherdim_vertex_family(cfg, complements)
+    analysis = analyze(cfg)
     return CycleDecomposition(
-        generic_component=l0,
+        generic_component=analysis.generic,
         generic_multiplicity=1,
-        special_component=_special_intersection_rows(cfg),
+        special_component=analysis.special,
         special_multiplicity=distance_to_family(cfg.ambient, family),
     )
 

@@ -203,6 +203,56 @@ def _freeze(rows) -> tuple:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def _min_val_pivot(ctx: PAdicContext, a, t: int):
+    """(valuation, row, column) of the first entry of least valuation in the
+    working submatrix a[t:][t:], or None when it is zero."""
+    best = None
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, len(row)):
+            if row[j]:
+                v = ctx.val(row[j])
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+    return best
+
+
+def _eliminate(ctx: PAdicContext, b, c=None):
+    """Valuation-pivoted elimination of a square matrix, in place.
+
+    Step t moves an entry of least valuation in the working submatrix to the
+    pivot position and clears the column below it with multipliers from the
+    valuation ring; the row operations are repeated on c when given.  Stops
+    when the working submatrix is zero.  Returns the column order and the
+    pivot valuations, which are the diagonal valuations of the result.
+    """
+    n = len(b)
+    colorder = list(range(n))
+    vals = []
+    for t in range(n):
+        best = _min_val_pivot(ctx, b, t)
+        if best is None:
+            break
+        v, bi, bj = best
+        vals.append(v)
+        if bj != t:
+            for row in b:
+                row[t], row[bj] = row[bj], row[t]
+            colorder[t], colorder[bj] = colorder[bj], colorder[t]
+        if bi != t:
+            b[t], b[bi] = b[bi], b[t]
+            if c is not None:
+                c[t], c[bi] = c[bi], c[t]
+        piv = b[t][t]
+        for i in range(t + 1, n):
+            if b[i][t]:
+                m = b[i][t] / piv
+                b[i] = [x - m * y for x, y in zip(b[i], b[t])]
+                if c is not None:
+                    c[i] = [x - m * y for x, y in zip(c[i], c[t])]
+    return colorder, vals
+
+
 def triangularize(ctx: PAdicContext, a) -> TriangularizationResult:
     """Reduce an integral square matrix to upper-triangular form.
 
@@ -219,70 +269,11 @@ def triangularize(ctx: PAdicContext, a) -> TriangularizationResult:
             if not ctx.is_integral(x):
                 raise NonIntegralEntry(f"entry {x} is not {ctx.p}-integral")
     c = linalg.identity(n)
-    colorder = list(range(n))
-    for t in range(n):
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if b[i][j]:
-                    v = ctx.val(b[i][j])
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bj != t:
-            for row in b:
-                row[t], row[bj] = row[bj], row[t]
-            colorder[t], colorder[bj] = colorder[bj], colorder[t]
-        if bi != t:
-            b[t], b[bi] = b[bi], b[t]
-            c[t], c[bi] = c[bi], c[t]
-        piv = b[t][t]
-        for i in range(t + 1, n):
-            if b[i][t]:
-                m = b[i][t] / piv
-                b[i] = [x - m * y for x, y in zip(b[i], b[t])]
-                c[i] = [x - m * y for x, y in zip(c[i], c[t])]
+    colorder, _ = _eliminate(ctx, b, c)
     d = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
         d[colorder[j]][j] = Fraction(1)
     return TriangularizationResult(C=_freeze(c), D=_freeze(d), B=_freeze(b))
-
-
-def _smith_exponents(ctx: PAdicContext, rows):
-    """Sorted elementary-divisor exponents of a full-rank matrix over K."""
-    a = linalg.copy_matrix(rows)
-    n = len(a)
-    exps = []
-    for t in range(n):
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if a[i][j]:
-                    v = ctx.val(a[i][j])
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            raise SingularTransition("matrix is singular over K")
-        v, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-        piv = a[t][t]
-        for i in range(t + 1, n):
-            if a[i][t]:
-                m = a[i][t] / piv
-                a[i] = [x - m * y for x, y in zip(a[i], a[t])]
-        for j in range(t + 1, n):
-            if a[t][j]:
-                m = a[t][j] / piv
-                for i in range(t, n):
-                    a[i][j] -= m * a[i][t]
-        exps.append(v)
-    return sorted(exps)
 
 
 def invariant_exponents(ambient: LatticeBasis, other: LatticeBasis) -> tuple:
@@ -290,12 +281,16 @@ def invariant_exponents(ambient: LatticeBasis, other: LatticeBasis) -> tuple:
     for a suitable basis w_i of the other lattice.
 
     Computed as the elementary-divisor exponents of the transition matrix
-    other^{-1} * ambient.  Their sum equals the valuation of its determinant.
+    other^{-1} * ambient: the diagonal valuations after valuation-pivoted
+    elimination.  Their sum equals the valuation of its determinant.
     """
     if ambient.ctx.p != other.ctx.p or ambient.dim != other.dim:
         raise ValueError("lattices live in different spaces")
     t = linalg.matmul(other.inverse_rows(), ambient.rows())
-    return tuple(_smith_exponents(ambient.ctx, t))
+    exps = _eliminate(ambient.ctx, t)[1]
+    if len(exps) < len(t):
+        raise SingularTransition("matrix is singular over K")
+    return tuple(sorted(exps))
 
 
 def is_split(sub: SplitSubmodule) -> bool:
@@ -325,13 +320,7 @@ def saturate_coords(ambient: LatticeBasis, kvectors) -> SplitSubmodule:
     p_cols = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
     t = 0
     while t < min(n, ncols):
-        best = None
-        for i in range(t, n):
-            for j in range(t, ncols):
-                if u[i][j]:
-                    v = ctx.val(u[i][j])
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
+        best = _min_val_pivot(ctx, u, t)
         if best is None:
             break
         _, bi, bj = best
@@ -347,11 +336,6 @@ def saturate_coords(ambient: LatticeBasis, kvectors) -> SplitSubmodule:
                 m = u[i][t] / piv
                 u[i] = [x - m * y for x, y in zip(u[i], u[t])]
                 p_cols[t] = [x + m * y for x, y in zip(p_cols[t], p_cols[i])]
-        for j in range(t + 1, ncols):
-            if u[t][j]:
-                m = u[t][j] / piv
-                for i in range(t, n):
-                    u[i][j] -= m * u[i][t]
         t += 1
     return SplitSubmodule(ambient, tuple(tuple(c) for c in p_cols[:t]))
 
@@ -396,7 +380,7 @@ def intersect_spans(ambient: LatticeBasis, submodules) -> SplitSubmodule:
 
 
 class _EchelonModP:
-    """Incremental row-space membership over F_p."""
+    """Incremental row echelon basis over F_p."""
 
     def __init__(self, p: int, width: int):
         self.p = p
@@ -404,19 +388,13 @@ class _EchelonModP:
         self.rows = []
         self.pivots = []
 
-    def _reduce(self, vec):
+    def add(self, vec) -> bool:
+        """Extend the basis by vec; False when vec already lies in its span."""
         v = [x % self.p for x in vec]
         for row, piv in zip(self.rows, self.pivots):
             if v[piv]:
                 f = v[piv]
                 v = [(x - f * y) % self.p for x, y in zip(v, row)]
-        return v
-
-    def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
-
-    def add(self, vec) -> bool:
-        v = self._reduce(vec)
         for j in range(self.width):
             if v[j]:
                 f = pow(v[j], -1, self.p)

@@ -223,8 +223,22 @@ def test_verify_dump_into_missing_directory_exits_1(tmp_path, capsys, monkeypatc
     assert rc == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["agreements"] == 0
+    assert json.loads(captured.out)["failed_seeds"] == [1]
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "missing" in captured.err
+
+
+def test_verify_lists_every_failing_seed(tmp_path, capsys, monkeypatch):
+    def disagree(cfg):
+        return cycles.IdentityReport(lhs=1, rhs=0, agree=False, properness=None)
+
+    monkeypatch.setattr(cycles, "verify_intersection_identity", disagree)
+    rc = main(["verify", "--seed", "7", "--trials", "2", "--n", "2", "--out", str(tmp_path)])
+    assert rc == 3
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["agreements"], summary["failed_seeds"]) == (0, [7, 8])
+    # the first disagreement is dumped
+    assert (tmp_path / "disagreement_trial_0.json").exists()
 
 
 @pytest.mark.parametrize("raw", ["lots", "-1", "1.5", ""])

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from btpgl import linalg
 from btpgl.building import bfs_dist, class_key, dist
@@ -458,6 +458,32 @@ def test_closed_form_family_distance_matches_scan(n, p, mode, seed, reference):
         "moved": _moved_lattice(rng, ambient, p),
     }[reference]
     _check_closed_form(lattice, _family_of(sample))
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    n=st.integers(min_value=2, max_value=3),
+    p=st.sampled_from([2, 3]),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(min_value=0, max_value=10**6),
+    moved=st.booleans(),
+)
+def test_family_distance_matches_bfs(n, p, mode, seed, moved):
+    # the closed form against the BFS oracle over the window key set, from
+    # the ambient lattice or one moved by a unimodular times a p-power
+    # diagonal; distances up to 3
+    if mode == "higherdim" and n == 2:
+        mode = "submodules"
+    sample = random_instance(seed=seed, n=n, p=p, d=n if mode == "hyperplanes" else 2, max_val=3, mode=mode)
+    fam = _family_of(sample)
+    lattice = sample.config.ambient
+    if moved:
+        rng = random.Random(seed)
+        diag = [[Fraction(p) ** rng.randrange(0, 2) if i == j else 0 for j in range(n)] for i in range(n)]
+        lattice = lattice.right_multiply(linalg.matmul(random_unimodular(rng, n, p), diag))
+    distance = distance_to_family(lattice, fam)
+    assume(distance <= 3)
+    assert bfs_dist(lattice, lattice, family_window_keys(lattice, fam), distance) == distance
 
 
 def test_closed_form_seeded_sweep():
