@@ -34,33 +34,26 @@ ENUMERATION_CAP_ENV = "BTPGL_ENUM_CAP"
 _TRANSFORM_CACHE_LIMIT = 20000
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ClassKey:
     """Canonical encoding of a lattice homothety class relative to a reference.
 
     Two lattices get the same key iff they differ by a scalar of K^x.  The
-    encoding is the sorted elementary-divisor exponents (shifted so the
-    minimum is 0) together with the unique column-reduced triangular basis
-    matrix of the rescaled transition: p-power diagonal, entries above each
-    diagonal reduced to [0, p^{e_row}).
+    encoding is the column Hermite form over Z_(p) of the transition
+    reference^{-1} * lattice scaled to minimal entry valuation 0: upper
+    triangular with p-power diagonal, entries above each diagonal reduced to
+    [0, p^{e_row}).  Right multiplication by GL_n(Z_(p)) and by units leaves
+    it unchanged, and the scaling fixes the p-power, so it is a complete
+    invariant of the class.
     """
 
-    dim: int
-    exponents: tuple
     hnf: tuple
 
     def to_hex(self) -> str:
-        return repr((self.dim, self.exponents, self.hnf)).encode("ascii").hex()
+        return repr(self.hnf).encode("ascii").hex()
 
 
-def _val_of_residue(x: int, p: int) -> int | None:
-    """Valuation of a residue; None when the residue is zero."""
-    if x == 0:
-        return None
-    return int_val(x, p)
-
-
-def _column_hnf_mod(p: int, rows, total: int):
+def _column_hnf_mod(p: int, rows, total: int) -> tuple:
     """Canonical column Hermite form over Z_(p) of an integral matrix whose
     determinant has valuation `total`, computed modulo a large p-power.
 
@@ -77,9 +70,11 @@ def _column_hnf_mod(p: int, rows, total: int):
     for i in range(n - 1, -1, -1):
         best = None
         for j in active:
-            e = _val_of_residue(cols[j][i], p)
-            if e is not None and (best is None or e < best[0]):
-                best = (e, j)
+            x = cols[j][i]
+            if x:
+                e = int_val(x, p)
+                if best is None or e < best[0]:
+                    best = (e, j)
         e, jstar = best
         pe = p**e
         unit = cols[jstar][i] // pe
@@ -108,43 +103,7 @@ def _column_hnf_mod(p: int, rows, total: int):
         out[i][i] = pe
         for j in range(i + 1, n):
             out[i][j] = h[i][j] % pe
-    return out
-
-
-def _smith_exponents_mod(p: int, rows, total: int):
-    """Sorted elementary-divisor exponents of an integral matrix, mod p-power."""
-    n = len(rows)
-    q = p ** (3 * total + 4)
-    a = [[x % q for x in row] for row in rows]
-    exps = []
-    for t in range(n):
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                e = _val_of_residue(a[i][j], p)
-                if e is not None and (best is None or e < best[0]):
-                    best = (e, i, j)
-        e, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-        pe = p**e
-        unit = a[t][t] // pe
-        uinv = pow(unit, -1, q)
-        a[t] = [x * uinv % q for x in a[t]]
-        for i in range(t + 1, n):
-            c = a[i][t] // pe
-            if c:
-                a[i] = [(x - c * y) % q for x, y in zip(a[i], a[t])]
-        for j in range(t + 1, n):
-            c = a[t][j] // pe
-            if c:
-                for i in range(t, n):
-                    a[i][j] = (a[i][j] - c * a[i][t]) % q
-        exps.append(e)
-    return sorted(exps)
+    return tuple(tuple(row) for row in out)
 
 
 def _int_matmul(a, b):
@@ -180,6 +139,8 @@ def _normalize_p_power(rows, p):
 def _integer_transition(reference: LatticeBasis, lattice: LatticeBasis):
     """Transition matrix reference^{-1} * lattice, scaled to integers and
     normalized by the common p-power (both scalings are homotheties)."""
+    if reference.ctx.p != lattice.ctx.p or reference.dim != lattice.dim:
+        raise ValueError("lattices live in different spaces")
     t = linalg.matmul(reference.inverse_rows(), lattice.rows())
     denom = lcm(*(x.denominator for row in t for x in row))
     tz = [[int(x * denom) for x in row] for row in t]
@@ -192,13 +153,8 @@ def _key_from_integer_rows(p: int, tz) -> ClassKey:
     n = len(tz)
     total = int_val(linalg.int_det(tz), p)
     if total == 0:
-        hnf = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return ClassKey(dim=n, exponents=(0,) * n, hnf=hnf)
-    hnf = _column_hnf_mod(p, tz, total)
-    # the canonical form is column-equivalent to tz over the valuation ring,
-    # so it has the same elementary divisors and far smaller entries
-    exps = _smith_exponents_mod(p, hnf, total)
-    return ClassKey(dim=n, exponents=tuple(exps), hnf=tuple(tuple(r) for r in hnf))
+        return ClassKey(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    return ClassKey(_column_hnf_mod(p, tz, total))
 
 
 def class_key(reference: LatticeBasis, lattice: LatticeBasis) -> ClassKey:
@@ -207,8 +163,6 @@ def class_key(reference: LatticeBasis, lattice: LatticeBasis) -> ClassKey:
     Keys computed against the same reference agree exactly when the classes
     coincide; keys from different references are not comparable.
     """
-    if reference.ctx.p != lattice.ctx.p or reference.dim != lattice.dim:
-        raise ValueError("lattices live in different spaces")
     return _key_from_integer_rows(reference.ctx.p, _integer_transition(reference, lattice))
 
 
@@ -314,6 +268,31 @@ def _neighbor_transforms(n: int, p: int, cap: int | None = None):
     return _neighbor_transform_list(n, p)
 
 
+def _check_ball_size(n: int, p: int, radius: int) -> None:
+    """Refuse a search whose ball could hold more classes than the cap:
+    1 + deg * sum_{k<radius} (deg-1)^k bounds a ball in a deg-regular graph."""
+    cap = enumeration_cap()
+    deg = neighbor_count(n, p)
+    bound, layer = 1, deg
+    for _ in range(radius):
+        bound += layer
+        if bound > cap:
+            raise EnumerationTooLarge(
+                f"a ball of radius {radius} at (n, p) = ({n}, {p}) may exceed the cap of {cap} classes"
+            )
+        if not layer:
+            break
+        layer *= deg - 1
+
+
+def _expand(p: int, t, transforms):
+    """(key, normalized integer transition) of each neighbour of the class of
+    the integer transition t, in transform order."""
+    for w in transforms:
+        nt = _normalize_p_power(_int_matmul(t, w), p)
+        yield _key_from_integer_rows(p, nt), nt
+
+
 def neighbors(reference: LatticeBasis, lattice: LatticeBasis, cap: int | None = None):
     """All classes adjacent to the given one, one representative lattice each.
 
@@ -323,16 +302,11 @@ def neighbors(reference: LatticeBasis, lattice: LatticeBasis, cap: int | None = 
     bug, so it trips an assertion.
     """
     ctx = lattice.ctx
+    transforms = _neighbor_transforms(lattice.dim, ctx.p, cap)
+    keys = [key for key, _ in _expand(ctx.p, _integer_transition(reference, lattice), transforms)]
+    assert len(set(keys)) == len(keys), "duplicate neighbor class"
     rows = lattice.rows()
-    out = []
-    seen = set()
-    for w in _neighbor_transforms(lattice.dim, ctx.p, cap):
-        nb = LatticeBasis.from_rows(ctx, linalg.matmul(rows, w))
-        key = class_key(reference, nb)
-        assert key not in seen, "duplicate neighbor class"
-        seen.add(key)
-        out.append(nb)
-    return out
+    return [LatticeBasis.from_rows(ctx, linalg.matmul(rows, w)) for w in transforms]
 
 
 def bfs_dist(
@@ -346,12 +320,14 @@ def bfs_dist(
     Explores classes layer by layer through the neighbor enumeration,
     deduplicating by class key, and returns the first depth at which a target
     key appears; None when no target shows up within radius_cap.  This is the
-    slow independent oracle for the invariant-factor distance.
+    slow independent oracle for the invariant-factor distance.  A radius whose
+    ball may exceed the enumeration cap raises EnumerationTooLarge.
     """
     if radius_cap < 0:
         raise ValueError("radius_cap must be non-negative")
-    targets = set(targets)
     p = reference.ctx.p
+    _check_ball_size(reference.dim, p, radius_cap)
+    targets = set(targets)
     t0 = _integer_transition(reference, start)
     start_key = _key_from_integer_rows(p, t0)
     if start_key in targets:
@@ -364,9 +340,7 @@ def bfs_dist(
         depth += 1
         nxt = []
         for t in frontier:
-            for w in transforms:
-                nt = _normalize_p_power(_int_matmul(t, w), p)
-                key = _key_from_integer_rows(p, nt)
+            for key, nt in _expand(p, t, transforms):
                 if key in targets:
                     return depth
                 if key not in seen:
@@ -382,38 +356,36 @@ def bfs_ball(reference: LatticeBasis, center: LatticeBasis, radius: int):
 
     Returns (nodes, edges) where nodes is a list of (ClassKey, LatticeBasis)
     pairs (the lattice is a class representative) and edges is a list of key
-    pairs in deterministic discovery order.
+    pairs in deterministic discovery order.  Each class is expanded once;
+    classes on the boundary only contribute edges.  A radius whose ball may
+    exceed the enumeration cap raises EnumerationTooLarge.
     """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
     ctx = reference.ctx
     p = ctx.p
-    t0 = _integer_transition(reference, center)
+    _check_ball_size(reference.dim, p, radius)
     transforms = _neighbor_transforms(reference.dim, p)
-    center_key = _key_from_integer_rows(p, t0)
-    reps = [(center_key, t0)]
-    index = {center_key: 0}
-    frontier = [t0]
-    for _ in range(radius):
-        nxt = []
-        for t in frontier:
-            for w in transforms:
-                nt = _normalize_p_power(_int_matmul(t, w), p)
-                key = _key_from_integer_rows(p, nt)
-                if key not in index:
-                    index[key] = len(reps)
-                    reps.append((key, nt))
-                    nxt.append(nt)
-        frontier = nxt
+    t0 = _integer_transition(reference, center)
+    reps = [(_key_from_integer_rows(p, t0), t0)]
+    depth = [0]
+    index = {reps[0][0]: 0}
     edges = []
-    edge_seen = set()
-    for key, t in reps:
-        for w in transforms:
-            nb_key = _key_from_integer_rows(p, _normalize_p_power(_int_matmul(t, w), p))
-            if nb_key not in index:
-                continue
-            pair = (key, nb_key) if index[key] < index[nb_key] else (nb_key, key)
-            if pair not in edge_seen:
-                edge_seen.add(pair)
-                edges.append(pair)
+    i = 0
+    while i < len(reps):
+        key, t = reps[i]
+        for nb_key, nt in _expand(p, t, transforms):
+            j = index.get(nb_key)
+            if j is None:
+                if depth[i] == radius:
+                    continue
+                j = index[nb_key] = len(reps)
+                reps.append((nb_key, nt))
+                depth.append(depth[i] + 1)
+            # an edge is new when it leads to a class expanded later
+            if j > i:
+                edges.append((key, nb_key))
+        i += 1
     ref_rows = reference.rows()
     nodes = [
         (key, LatticeBasis.from_rows(ctx, linalg.matmul(ref_rows, t))) for key, t in reps

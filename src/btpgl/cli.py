@@ -71,8 +71,11 @@ def cmd_intersect(args) -> int:
         out["r0"] = report.r0
         _print_json(out)
         return EXIT_OK
+    if report.kind is cycles.Properness.EMPTY_INTERSECTION:
+        _print_json({"number": 0})
+        return EXIT_OK
     if report.kind is cycles.Properness.IMPROPER:
-        if forms is not None:
+        if forms is not None and len(forms) == cfg.ambient.dim:
             try:
                 cycles.intersect_hyperplanes(forms)
             except ImproperGenericIntersection as exc:
@@ -193,6 +196,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2, got {args.n}")
     ctx = PAdicContext(args.p)
     center = LatticeBasis.standard(ctx, args.n)
     highlighted = set()

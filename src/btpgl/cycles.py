@@ -413,13 +413,13 @@ def verify_intersection_identity(cfg: CycleConfiguration) -> IdentityReport:
 
     The left side is the determinant valuation of an assembled form matrix;
     the right side is the exact family distance.  Both are computed
-    independently.
+    independently.  Building the family first raises ProperFail unless the
+    codimensions sum to n and the configuration is proper.
     """
-    report = properness_check(cfg)
-    _require(report, Properness.PROPER_0DIM, Properness.EMPTY_INTERSECTION)
+    family = vertex_family(cfg)
     lhs = intersect_hyperplanes(realized_forms(cfg))
-    rhs = distance_to_family(cfg.ambient, vertex_family(cfg))
-    return IdentityReport(lhs=lhs, rhs=rhs, agree=lhs == rhs, properness=report)
+    rhs = distance_to_family(cfg.ambient, family)
+    return IdentityReport(lhs=lhs, rhs=rhs, agree=lhs == rhs, properness=properness_check(cfg))
 
 
 def apartment_lines(forms):

@@ -12,7 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from btpgl import linalg
 from btpgl.cycles import CycleConfiguration, VertexFamily, _tuples_with_spread
 from btpgl.lattices import LatticeBasis, SplitSubmodule
-from btpgl.padic import int_val
+from btpgl.padic import PAdicContext, int_val
 
 
 def sympy_invariant_exponents(rows, p):
@@ -209,3 +209,40 @@ def scan_distance_to_family(lattice: LatticeBasis, family: VertexFamily) -> int:
                 if best == 0:
                     return 0
     return best
+
+
+def exact_column_hnf(rows, p):
+    """Column Hermite form over Z_(p) of a nonsingular matrix with p-integral
+    entries, in exact rational arithmetic: the oracle for the mod-p^N form of
+    the class keys.
+
+    Column operations over Z_(p) make the matrix upper triangular with
+    diagonal p^{e_i}, then reduce each entry above the diagonal to the
+    integer in [0, p^{e_row}) congruent to it.
+    """
+    n = len(rows)
+    val = PAdicContext(p).val
+    cols = [[Fraction(rows[i][j]) for i in range(n)] for j in range(n)]
+    tri = [None] * n
+    diag_exp = [0] * n
+    active = list(range(n))
+    for i in range(n - 1, -1, -1):
+        j0 = min((j for j in active if cols[j][i]), key=lambda j: val(cols[j][i]))
+        e = val(cols[j0][i])
+        unit = cols[j0][i] / p**e
+        pivot = [x / unit for x in cols[j0]]
+        active.remove(j0)
+        for j in active:
+            c = cols[j][i] / pivot[i]
+            cols[j] = [a - c * b for a, b in zip(cols[j], pivot)]
+        tri[i] = pivot
+        diag_exp[i] = e
+    for j in range(1, n):
+        for i in range(j - 1, -1, -1):
+            pe = p ** diag_exp[i]
+            x = tri[j][i]
+            r = x.numerator * pow(x.denominator, -1, pe) % pe
+            c = (x - r) / pe
+            tri[j] = [a - c * b for a, b in zip(tri[j], tri[i])]
+    assert all(x.denominator == 1 for col in tri for x in col)
+    return tuple(tuple(int(tri[j][i]) for j in range(n)) for i in range(n))

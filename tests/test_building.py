@@ -3,8 +3,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from btpgl import linalg
+from btpgl import building, linalg
 from btpgl.building import (
     adjacent,
     bfs_ball,
@@ -22,7 +23,7 @@ from btpgl.errors import EnumerationTooLarge
 from btpgl.lattices import LatticeBasis, saturate_coords
 from btpgl.padic import PAdicContext
 
-from helpers import random_lattice, random_unimodular
+from helpers import exact_column_hnf, random_lattice, random_unimodular
 
 ctx2 = PAdicContext(2)
 ctx3 = PAdicContext(3)
@@ -31,7 +32,6 @@ ctx3 = PAdicContext(3)
 def test_class_key_reference_and_homothety():
     std = LatticeBasis.standard(ctx2, 2)
     key = class_key(std, std)
-    assert key.exponents == (0, 0)
     assert key.hnf == ((1, 0), (0, 1))
     l = LatticeBasis(ctx2, [(1, 0), (1, 2)])
     assert class_key(std, l) == class_key(std, l.scale(4)) == class_key(std, l.scale(Fraction(3, 7)))
@@ -264,3 +264,116 @@ def test_neighbor_lift_shape():
     for nb in neighbors(std, std):
         exps = invariant_exponents(nb, std)
         assert sorted(set(exps)) == [0, 1]
+
+
+def test_bfs_ball_expands_each_class_once(monkeypatch):
+    # one key for the center, then one per neighbour of every node: the
+    # boundary layer is expanded only for its edges
+    calls = [0]
+    key_fn = building._key_from_integer_rows
+
+    def counting(p, tz):
+        calls[0] += 1
+        return key_fn(p, tz)
+
+    monkeypatch.setattr(building, "_key_from_integer_rows", counting)
+    for n, p, radius in ((2, 3, 2), (3, 2, 2)):
+        calls[0] = 0
+        std = LatticeBasis.standard(PAdicContext(p), n)
+        nodes, _ = bfs_ball(std, std, radius)
+        assert calls[0] == 1 + len(nodes) * neighbor_count(n, p)
+    assert calls[0] == 1583
+
+
+def test_bfs_rejects_negative_radius():
+    std = LatticeBasis.standard(ctx2, 2)
+    with pytest.raises(ValueError):
+        bfs_ball(std, std, -1)
+    with pytest.raises(ValueError):
+        bfs_dist(std, std, {class_key(std, std)}, -1)
+
+
+def test_bfs_radius_bounded_by_enumeration_cap(monkeypatch):
+    # at (3,3) a ball of radius 4 may hold 423,177 classes and one of radius
+    # 5 10,579,427: the default cap of 10^6 admits the first only
+    std = LatticeBasis.standard(ctx3, 3)
+    key = class_key(std, std)
+    assert bfs_dist(std, std, {key}, 4) == 0
+    with pytest.raises(EnumerationTooLarge):
+        bfs_dist(std, std, {key}, 5)
+    with pytest.raises(EnumerationTooLarge):
+        bfs_ball(std, std, 5)
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "423176")
+    with pytest.raises(EnumerationTooLarge):
+        bfs_dist(std, std, {key}, 4)
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "27")
+    assert len(bfs_ball(std, std, 1)[0]) == 27
+
+
+def _moved(rng, lattice, p):
+    """The same class in another basis and scale: a unimodular rebasing and a
+    p-power times a unit."""
+    n = lattice.dim
+    scalar = Fraction(p) ** rng.randrange(-3, 4) * rng.choice([1, -1, p + 1, Fraction(1, p + 1)])
+    return lattice.right_multiply(random_unimodular(rng, n, p)).scale(scalar)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 4),
+    p=st.sampled_from([2, 3, 5]),
+    seed=st.integers(0, 10**6),
+)
+def test_class_key_is_a_complete_class_invariant(n, p, seed):
+    # equal keys exactly when the classes coincide; the pairs include
+    # rebasings, scalings and two neighbours of the reference, whose
+    # invariant exponents relative to it agree
+    rng = random.Random(seed)
+    ctx = PAdicContext(p)
+    ref = random_lattice(rng, ctx, n, rng.randrange(0, 3))
+    a = random_lattice(rng, ctx, n, rng.randrange(0, 4))
+    exps = [0, 1] + [rng.randrange(0, 2) for _ in range(n - 2)]
+    diag = [[p ** exps[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    nb1, nb2 = (ref.right_multiply(linalg.matmul(random_unimodular(rng, n, p), diag)) for _ in range(2))
+    pairs = [
+        (a, _moved(rng, a, p)),
+        (a, random_lattice(rng, ctx, n, rng.randrange(0, 4))),
+        (nb1, nb2),
+        (nb1, _moved(rng, nb1, p)),
+        (ref, _moved(rng, ref, p)),
+        (ref, nb2),
+    ]
+    for x, y in pairs:
+        assert (class_key(ref, x) == class_key(ref, y)) == (dist(x, y) == 0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(2, 4),
+    p=st.sampled_from([2, 3, 5]),
+    total=st.integers(0, 20),
+    seed=st.integers(0, 10**6),
+)
+def test_hnf_key_matches_exact_hermite_form(n, p, total, seed):
+    # the mod-p^(3*total+4) form against exact rational arithmetic, on
+    # L = U * diag(p^e) * V with U, V in GL_n(Z_(p)) of large entries and
+    # min e = 0, so L is its own normalized transition from the standard basis
+    rng = random.Random(seed)
+    ctx = PAdicContext(p)
+    exps = [0] * n
+    for _ in range(total):
+        exps[rng.randrange(1, n)] += 1
+    rng.shuffle(exps)
+
+    def unit_matrix():
+        while True:
+            m = [[rng.randrange(-(p**6), p**6) for _ in range(n)] for _ in range(n)]
+            if linalg.int_det(m) % p:
+                return m
+
+    diag = [[p ** exps[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = linalg.matmul(linalg.matmul(unit_matrix(), diag), unit_matrix())
+    expected = exact_column_hnf(rows, p)
+    lattice = LatticeBasis.from_rows(ctx, rows)
+    assert class_key(LatticeBasis.standard(ctx, n), lattice).hnf == expected
+    assert class_key(LatticeBasis.standard(ctx, n), lattice.scale(Fraction(p**3, p + 1))).hnf == expected

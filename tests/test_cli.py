@@ -247,3 +247,62 @@ def test_bad_enumeration_cap_names_the_variable(tmp_path, capsys, monkeypatch, r
     rc = main(["export-dot", "--n", "2", "--p", "2", "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "BTPGL_ENUM_CAP" in capsys.readouterr().err
+
+
+def hyperplane_instance(p, rows):
+    n = len(rows[0])
+    return {
+        "p": p,
+        "n": n,
+        "lattice_M": [[("1" if i == j else "0") for j in range(n)] for i in range(n)],
+        "cycles": [{"kind": "hyperplane", "coefficients": [str(x) for x in row]} for row in rows],
+    }
+
+
+def axes_instance(p, n):
+    # the coordinate axes: rank-one cycles whose codimensions sum to n(n-1)
+    return {
+        "p": p,
+        "n": n,
+        "lattice_M": [[("1" if i == j else "0") for j in range(n)] for i in range(n)],
+        "cycles": [
+            {"kind": "submodule", "columns": [[("1" if i == j else "0") for i in range(n)]]}
+            for j in range(n)
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "payload", [hyperplane_instance(3, [(1, 0), (0, 1), (1, 1)]), axes_instance(3, 3)]
+)
+def test_intersect_empty_overdetermined_prints_zero(tmp_path, capsys, payload):
+    path = write(tmp_path / "inst.json", payload)
+    assert main(["intersect", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"number": 0}
+
+
+def test_intersect_improper_overdetermined_exits_2(tmp_path, capsys):
+    path = write(tmp_path / "inst.json", hyperplane_instance(3, [(1, 0), (1, 3), (1, 9)]))
+    assert main(["intersect", path]) == 2
+    assert "Improper" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "1", "-2"])
+def test_export_dot_small_n_exits_1(tmp_path, capsys, n):
+    assert main(["export-dot", "--n", n, "--out", str(tmp_path / "x")]) == 1
+    assert "--n" in _one_line_error(capsys)
+
+
+def test_export_dot_negative_radius_exits_1(tmp_path, capsys):
+    assert main(["export-dot", "--radius", "-1", "--out", str(tmp_path / "x")]) == 1
+    assert "radius" in _one_line_error(capsys)
+    assert not (tmp_path / "x.dot").exists()
+
+
+def test_dist_bfs_beyond_enumeration_cap_exits_4(tmp_path, capsys):
+    # distance 8 at (3,3): a ball of radius 8 could hold far more than 10^6 classes
+    path = write(tmp_path / "pair.json", pair_instance(3, [1, 1, 3**8]))
+    start = time.perf_counter()
+    assert main(["dist", path, "--oracle", "both"]) == 4
+    assert time.perf_counter() - start < 5.0
+    assert "EnumerationTooLarge" in capsys.readouterr().err

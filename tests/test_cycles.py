@@ -173,6 +173,24 @@ def test_vertex_family_requires_zero_dim_properness():
         vertex_family(CycleConfiguration(lat, [hyperplane_kernel(f), hyperplane_kernel(f)]))
 
 
+def overdetermined_empty_configs():
+    # codimensions summing to more than n, with empty special fibre
+    lat2 = std(ctx3, 2)
+    lines = config_from_forms(lat2, [DualForm(lat2, c) for c in ((1, 0), (0, 1), (1, 1))])
+    lat3 = std(ctx3, 3)
+    axes = CycleConfiguration(
+        lat3, [SplitSubmodule(lat3, [tuple(1 if i == j else 0 for i in range(3))]) for j in range(3)]
+    )
+    return lines, axes
+
+
+def test_verify_requires_codimensions_summing_to_n():
+    for cfg in overdetermined_empty_configs():
+        assert properness_check(cfg).kind is Properness.EMPTY_INTERSECTION
+        with pytest.raises(ProperFail):
+            verify_intersection_identity(cfg)
+
+
 @pytest.mark.parametrize("p,m", [(3, 0), (3, 1), (3, 3), (2, 2), (2, 4)])
 def test_distance_to_family_matches_intersection_number(p, m):
     lattice, forms = geodesic_pair(p, m)
