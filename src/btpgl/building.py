@@ -8,9 +8,13 @@ DOT export of BFS balls.  Apartment membership is distance 0 to a vertex
 family of frame lines (:func:`btpgl.cycles.nearest_family_member`).
 
 Distances in production code always go through the invariant-factor formula;
-BFS exists purely as an independent oracle.  Internally the BFS propagates
-integer transition matrices (class keys are homothety invariant, so clearing
-denominators is free), which keeps the oracle usable at desk scale.
+BFS exists purely as an independent oracle.  It works on integer transition
+matrices from start to end (class keys are homothety invariant, so clearing
+denominators is free): a key's Hermite form is itself an integer transition
+of its class, so the BFS searches from both ends, from the start class and
+from the target keys, expanding the smaller frontier one layer at a time.
+The keys of a block-scaled family window come from one integer transition,
+each member's being that one with its column blocks scaled by p-powers.
 
 All functions are pure and the BFS keeps only local state, so everything here
 is safe to run concurrently.
@@ -166,6 +170,25 @@ def class_key(reference: LatticeBasis, lattice: LatticeBasis) -> ClassKey:
     return _key_from_integer_rows(reference.ctx.p, _integer_transition(reference, lattice))
 
 
+def block_scaled_keys(reference: LatticeBasis, lattice: LatticeBasis, ranks, exponent_tuples) -> set:
+    """Class keys of the lattices obtained from `lattice` by scaling its
+    consecutive column blocks, of sizes `ranks`, by p^{k_a}, one per tuple k.
+
+    With T the integer transition to `lattice`, the member k has transition
+    T * D_k, D_k = diag(p^{k_a}) blockwise; dividing by p^{min k}, a
+    homothety, keeps it integral, so one transition serves every member.
+    """
+    p = reference.ctx.p
+    t = _integer_transition(reference, lattice)
+    keys = set()
+    for kvec in exponent_tuples:
+        lo = min(kvec)
+        scales = [p ** (k - lo) for k, rank in zip(kvec, ranks) for _ in range(rank)]
+        scaled = [[x * s for x, s in zip(row, scales)] for row in t]
+        keys.add(_key_from_integer_rows(p, _normalize_p_power(scaled, p)))
+    return keys
+
+
 def class_equal(l1: LatticeBasis, l2: LatticeBasis) -> bool:
     """True iff the lattices differ by a scalar of K^x.
 
@@ -317,31 +340,40 @@ def bfs_dist(
 ) -> int | None:
     """Breadth-first distance from the start class to a set of target keys.
 
-    Explores classes layer by layer through the neighbor enumeration,
-    deduplicating by class key, and returns the first depth at which a target
-    key appears; None when no target shows up within radius_cap.  This is the
-    slow independent oracle for the invariant-factor distance.  A radius whose
-    ball may exceed the enumeration cap raises EnumerationTooLarge.
+    Searches from both ends: one side starts from the start class, the other
+    from the targets, whose Hermite forms are integer transitions of their
+    classes.  Each step expands the smaller frontier by one full layer,
+    deduplicating by class key, so the two sides have seen the balls of
+    radii a and b around their ends.  While no class lies in both, the
+    distance exceeds a + b.  When one side grows to radius a + 1, a new class
+    that the other side has seen gives a path of length a + 1 + b, and if
+    the distance is a + 1 + b, the class at distance a + 1 on a shortest
+    path is one; so the first one found gives the distance exactly.  Returns
+    None when the distance exceeds radius_cap.  This is the independent
+    oracle for the invariant-factor distance and never calls the formula.  A
+    radius whose ball may exceed the enumeration cap raises
+    EnumerationTooLarge.
     """
     if radius_cap < 0:
         raise ValueError("radius_cap must be non-negative")
     p = reference.ctx.p
     _check_ball_size(reference.dim, p, radius_cap)
-    targets = set(targets)
     t0 = _integer_transition(reference, start)
-    start_key = _key_from_integer_rows(p, t0)
-    if start_key in targets:
+    seen, frontier = {_key_from_integer_rows(p, t0)}, [t0]
+    other_seen = set(targets)
+    other_frontier = [key.hnf for key in other_seen]
+    if seen & other_seen:
         return 0
     transforms = _neighbor_transforms(reference.dim, p)
-    seen = {start_key}
-    frontier = [t0]
     depth = 0
-    while frontier and depth < radius_cap:
+    while frontier and other_frontier and depth < radius_cap:
         depth += 1
+        if len(other_frontier) < len(frontier):
+            seen, frontier, other_seen, other_frontier = other_seen, other_frontier, seen, frontier
         nxt = []
         for t in frontier:
             for key, nt in _expand(p, t, transforms):
-                if key in targets:
+                if key in other_seen:
                     return depth
                 if key not in seen:
                     seen.add(key)

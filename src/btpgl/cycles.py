@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import product
 
 from . import linalg
-from .building import class_key, dist
+from .building import block_scaled_keys, dist
 from .errors import (
     GenerationExhausted,
     ImproperGenericIntersection,
@@ -377,14 +377,14 @@ def family_window_keys(reference: LatticeBasis, family: VertexFamily):
     reference, for use as a BFS target set.  With B0 the distance to the
     all-zero member, a member's distance to it is its exponent spread, so
     every nearest member has spread at most 2*B0; the whole window of such
-    tuples (last exponent pinned to 0) is enumerated without pruning."""
+    tuples (last exponent pinned to 0) is enumerated without pruning.  Each
+    member is the all-zero member with its generator blocks scaled, so its
+    key comes from one integer transition (:func:`block_scaled_keys`)."""
     m = len(family.generators)
-    b0 = dist(reference, family.member_lattice((0,) * m))
-    keys = set()
-    for spread in range(0, 2 * b0 + 1):
-        for kvec in _tuples_with_spread(m - 1, spread):
-            keys.add(class_key(reference, family.member_lattice(kvec)))
-    return keys
+    zero = family.member_lattice((0,) * m)
+    b0 = dist(reference, zero)
+    window = (kvec for spread in range(2 * b0 + 1) for kvec in _tuples_with_spread(m - 1, spread))
+    return block_scaled_keys(reference, zero, [g.rank for g in family.generators], window)
 
 
 def realized_forms(cfg: CycleConfiguration):

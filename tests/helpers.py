@@ -9,7 +9,8 @@ from math import lcm
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
-from btpgl import linalg
+from btpgl import building, linalg
+from btpgl.building import class_key, dist
 from btpgl.cycles import CycleConfiguration, VertexFamily, _tuples_with_spread
 from btpgl.lattices import LatticeBasis, SplitSubmodule
 from btpgl.padic import PAdicContext, int_val
@@ -246,3 +247,44 @@ def exact_column_hnf(rows, p):
             tri[j] = [a - c * b for a, b in zip(tri[j], tri[i])]
     assert all(x.denominator == 1 for col in tri for x in col)
     return tuple(tuple(int(tri[j][i]) for j in range(n)) for i in range(n))
+
+
+def member_window_keys(reference: LatticeBasis, family: VertexFamily):
+    """Class keys of the family members in the exactness window, one member
+    lattice and one class key each: the oracle for the block-scaled keys of
+    :func:`btpgl.cycles.family_window_keys`."""
+    m = len(family.generators)
+    b0 = dist(reference, family.member_lattice((0,) * m))
+    return {
+        class_key(reference, family.member_lattice(kvec))
+        for spread in range(2 * b0 + 1)
+        for kvec in _tuples_with_spread(m - 1, spread)
+    }
+
+
+def one_sided_bfs_dist(reference: LatticeBasis, start: LatticeBasis, targets, radius_cap: int):
+    """Breadth-first distance searched from the start class only, layer by
+    layer until a target key appears: the oracle for the search from both
+    ends in :func:`btpgl.building.bfs_dist`."""
+    p = reference.ctx.p
+    targets = set(targets)
+    t0 = building._integer_transition(reference, start)
+    start_key = building._key_from_integer_rows(p, t0)
+    if start_key in targets:
+        return 0
+    transforms = building._neighbor_transforms(reference.dim, p)
+    seen = {start_key}
+    frontier = [t0]
+    depth = 0
+    while frontier and depth < radius_cap:
+        depth += 1
+        nxt = []
+        for t in frontier:
+            for key, nt in building._expand(p, t, transforms):
+                if key in targets:
+                    return depth
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(nt)
+        frontier = nxt
+    return None

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from btpgl import building, linalg
 from btpgl.building import (
@@ -18,12 +18,19 @@ from btpgl.building import (
     neighbors,
     render_dot,
 )
-from btpgl.cycles import VertexFamily, nearest_family_member
+from btpgl.cycles import (
+    VertexFamily,
+    distance_to_family,
+    family_window_keys,
+    nearest_family_member,
+    random_instance,
+    vertex_family,
+)
 from btpgl.errors import EnumerationTooLarge
 from btpgl.lattices import LatticeBasis, saturate_coords
 from btpgl.padic import PAdicContext
 
-from helpers import exact_column_hnf, random_lattice, random_unimodular
+from helpers import exact_column_hnf, one_sided_bfs_dist, random_lattice, random_unimodular
 
 ctx2 = PAdicContext(2)
 ctx3 = PAdicContext(3)
@@ -377,3 +384,56 @@ def test_hnf_key_matches_exact_hermite_form(n, p, total, seed):
     lattice = LatticeBasis.from_rows(ctx, rows)
     assert class_key(LatticeBasis.standard(ctx, n), lattice).hnf == expected
     assert class_key(LatticeBasis.standard(ctx, n), lattice.scale(Fraction(p**3, p + 1))).hnf == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 4),
+    p=st.sampled_from([2, 3, 5]),
+    seed=st.integers(0, 10**6),
+)
+def test_hermite_form_is_a_transition_of_its_class(n, p, seed):
+    # the search from the targets expands each target key's Hermite form as
+    # an integer transition, so that form must key its own class
+    rng = random.Random(seed)
+    ctx = PAdicContext(p)
+    ref = random_lattice(rng, ctx, n, rng.randrange(0, 3))
+    key = class_key(ref, random_lattice(rng, ctx, n, rng.randrange(0, 5)))
+    assert building._key_from_integer_rows(p, key.hnf) == key
+    assert class_key(ref, LatticeBasis.from_rows(ctx, linalg.matmul(ref.rows(), key.hnf))) == key
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 3),
+    p=st.sampled_from([2, 3]),
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["pair", "family"]),
+)
+def test_two_sided_bfs_matches_one_sided(n, p, seed, kind):
+    # the search from both ends against the search from the start alone, at
+    # the distance, one below it (None), one above it, with no targets and
+    # with the start among the targets; distances up to 5 at n = 2 and up
+    # to 3 at n = 3
+    rng = random.Random(seed)
+    ctx = PAdicContext(p)
+    limit = 5 if n == 2 else 3
+    if kind == "pair":
+        ref = random_lattice(rng, ctx, n, rng.randrange(0, 3))
+        start = random_lattice(rng, ctx, n, rng.randrange(0, 3))
+        end = random_lattice(rng, ctx, n, rng.randrange(0, 4))
+        targets = {class_key(ref, end)}
+        distance = dist(start, end)
+    else:
+        sample = random_instance(seed=seed, n=n, p=p, d=n, max_val=3, mode="hyperplanes")
+        fam = vertex_family(sample.config)
+        ref = start = sample.config.ambient
+        targets = family_window_keys(ref, fam)
+        distance = distance_to_family(start, fam)
+    assume(distance <= limit)
+    for cap in {distance, distance - 1, distance + 1} - {-1}:
+        found = bfs_dist(ref, start, targets, cap)
+        assert found == one_sided_bfs_dist(ref, start, targets, cap)
+        assert found == (distance if distance <= cap else None)
+    assert bfs_dist(ref, start, set(), limit) is None
+    assert bfs_dist(ref, start, targets | {class_key(ref, start)}, limit) == 0

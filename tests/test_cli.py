@@ -129,6 +129,18 @@ def test_verify_small_campaign(capsys):
     assert "wall_time" in out and "rejections" in out and "max_lhs" in out
 
 
+def test_verify_skips_bfs_checks_beyond_the_cap(capsys):
+    # at (3,5) a radius-4 ball may hold more classes than the default cap:
+    # that check is skipped and counted, and the campaign still exits 0
+    rc = main(
+        ["verify", "--n", "3", "--p", "5", "--oracle", "both", "--seed", "72", "--trials", "3"]
+    )
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["agreements"] == 3
+    assert (out["bfs_checked"], out["bfs_skipped"]) == (2, 1)
+
+
 def test_verify_higherdim_campaign(capsys):
     rc = main(
         ["verify", "--seed", "3", "--trials", "4", "--n", "3", "--p", "2",

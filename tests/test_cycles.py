@@ -45,6 +45,7 @@ from btpgl.padic import PAdicContext
 from helpers import (
     apply_automorphism,
     family_profile,
+    member_window_keys,
     random_unimodular,
     rebase,
     scan_distance_to_family,
@@ -502,6 +503,31 @@ def test_family_distance_matches_bfs(n, p, mode, seed, moved):
     distance = distance_to_family(lattice, fam)
     assume(distance <= 3)
     assert bfs_dist(lattice, lattice, family_window_keys(lattice, fam), distance) == distance
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    p=st.sampled_from([2, 3, 5]),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(min_value=0, max_value=10**6),
+    reference=st.sampled_from(["ambient", "scaled", "moved"]),
+)
+def test_family_window_keys_match_member_keys(n, p, mode, seed, reference):
+    # the keys from one block-scaled integer transition against one member
+    # lattice and one class key per window member
+    if mode == "higherdim" and n == 2:
+        mode = "submodules"
+    sample = random_instance(seed=seed, n=n, p=p, d=n if mode == "hyperplanes" else 2, max_val=2, mode=mode)
+    fam = _family_of(sample)
+    ambient = sample.config.ambient
+    rng = random.Random(seed)
+    lattice = {
+        "ambient": ambient,
+        "scaled": ambient.scale(Fraction(p) ** rng.randrange(-2, 3)),
+        "moved": _moved_lattice(rng, ambient, p),
+    }[reference]
+    assert family_window_keys(lattice, fam) == member_window_keys(lattice, fam)
 
 
 def test_closed_form_seeded_sweep():
