@@ -308,6 +308,30 @@ def _check_ball_size(n: int, p: int, radius: int) -> None:
         layer *= deg - 1
 
 
+def _check_search_size(n: int, p: int, radius: int, ntargets: int) -> None:
+    """Refuse a search from both ends that could compute more class keys
+    than the cap.  With deg the degree, D(0) = 1 and D(k) = deg*(deg-1)^(k-1),
+    after a forward and b backward layers the frontiers hold at most D(a)
+    and t*D(b) classes, t = ntargets, and a step expands the smaller; so
+    1 + t + deg * sum_{s<radius} max_{a+b=s} min(D(a), t*D(b)) bounds the
+    keys computed."""
+    cap = enumeration_cap()
+    deg = neighbor_count(n, p)
+    layers = [1]
+    bound = 1 + ntargets
+    for s in range(radius):
+        step = deg * max(min(layers[a], ntargets * layers[s - a]) for a in range(s + 1))
+        bound += step
+        if bound > cap:
+            raise EnumerationTooLarge(
+                f"a search to radius {radius} at (n, p) = ({n}, {p}) from {ntargets} targets "
+                f"may compute more than the cap of {cap} class keys"
+            )
+        if not step:
+            break
+        layers.append(deg * (deg - 1) ** s)
+
+
 def _expand(p: int, t, transforms):
     """(key, normalized integer transition) of each neighbour of the class of
     the integer transition t, in transform order."""
@@ -351,16 +375,16 @@ def bfs_dist(
     path is one; so the first one found gives the distance exactly.  Returns
     None when the distance exceeds radius_cap.  This is the independent
     oracle for the invariant-factor distance and never calls the formula.  A
-    radius whose ball may exceed the enumeration cap raises
+    search that may compute more class keys than the enumeration cap raises
     EnumerationTooLarge.
     """
     if radius_cap < 0:
         raise ValueError("radius_cap must be non-negative")
     p = reference.ctx.p
-    _check_ball_size(reference.dim, p, radius_cap)
+    other_seen = set(targets)
+    _check_search_size(reference.dim, p, radius_cap, len(other_seen))
     t0 = _integer_transition(reference, start)
     seen, frontier = {_key_from_integer_rows(p, t0)}, [t0]
-    other_seen = set(targets)
     other_frontier = [key.hnf for key in other_seen]
     if seen & other_seen:
         return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -372,10 +373,13 @@ def intersect_spans(ambient: LatticeBasis, submodules) -> SplitSubmodule:
         r1 = len(cur)
         rows = [[cur[j][i] for j in range(r1)] + [-nxt[j][i] for j in range(len(nxt))] for i in range(n)]
         null = linalg.nullspace(rows)
-        cur = [
-            [sum((vec[j] * cur[j][i] for j in range(r1)), Fraction(0)) for i in range(n)]
-            for vec in null
-        ]
+        # recombine in integers: cur = cur_z / d and vec = vec_z / e
+        d = lcm(*(x.denominator for c in cur for x in c))
+        cur_z = [[x.numerator * (d // x.denominator) for x in c] for c in cur]
+        cur = []
+        for vec in null:
+            e, vec_z = linalg._scaled_row(vec[:r1])
+            cur.append([Fraction(sum(a * c[i] for a, c in zip(vec_z, cur_z)), d * e) for i in range(n)])
     return saturate_coords(ambient, cur)
 
 

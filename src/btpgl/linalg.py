@@ -1,16 +1,22 @@
 """Small exact linear-algebra helpers.
 
-Rational routines work on list-of-rows matrices of Fractions (ints are fine
-on input).  Pivoting is by first nonzero entry; exact arithmetic makes
-magnitude pivoting pointless.  Mod-p routines work on list-of-rows matrices
-of ints and return canonical reduced echelon data.
+Rational routines take list-of-rows matrices of ints or Fractions and return
+Fractions.  Underneath they share one integer kernel: each row is scaled by
+the lcm of its denominators, and a fraction-free Gauss-Jordan elimination
+(pivot on the first nonzero entry, clear by cross-multiplication, divide
+each new row by its content) leaves rows proportional to the reduced row
+echelon form.  Fractions are built only from its final entries.  The reduced
+form, the inverse and the solution of a uniquely solvable system do not
+depend on how the rows were scaled, so the outputs equal those of an
+elimination in Fractions.  The determinant is the Bareiss determinant of the
+row-scaled matrix divided by the product of the scales.  Mod-p routines work
+on list-of-rows matrices of ints and return canonical reduced echelon data.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Matrix = "list[list[Fraction]]"
+from math import gcd, lcm, prod
 
 
 def identity(n: int):
@@ -53,34 +59,47 @@ def rows_to_columns(rows):
     return [list(c) for c in zip(*rows)]
 
 
-def det(a) -> Fraction:
-    a = copy_matrix(a)
-    n = len(a)
-    d = Fraction(1)
-    for t in range(n):
-        piv = None
-        for i in range(t, n):
-            if a[i][t]:
-                piv = i
-                break
+def _scaled_row(row):
+    """(s, s * row as ints) with s the lcm of the row's denominators."""
+    s = 1
+    for x in row:
+        s = lcm(s, x.denominator)
+    return s, [x.numerator * (s // x.denominator) for x in row]
+
+
+def _int_rref(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Pivots on the first nonzero entry of each of the first `ncols` columns,
+    clears the pivot column in every other row by cross-multiplication and
+    divides each new row by its content.  Returns the pivot columns; the
+    reduced row echelon entry of row i in column c is
+    rows[i][c] / rows[i][pivots[i]].
+    """
+    nrows = len(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != t:
-            a[t], a[piv] = a[piv], a[t]
-            d = -d
-        d *= a[t][t]
-        inv_p = 1 / a[t][t]
-        for i in range(t + 1, n):
-            if a[i][t]:
-                f = a[i][t] * inv_p
-                for j in range(t, n):
-                    a[i][j] -= f * a[t][j]
-    return d
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        a = prow[c]
+        for i in range(nrows):
+            b = rows[i][c]
+            if b and i != r:
+                new = [a * x - b * y for x, y in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+    return pivots
 
 
-def int_det(a) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    a = [[int(x) for x in row] for row in a]
+def _bareiss(a) -> int:
+    """Determinant of a nonempty square integer matrix, overwriting it."""
     n = len(a)
     sign = 1
     prev = 1
@@ -103,90 +122,48 @@ def int_det(a) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def int_det(a) -> int:
+    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    return _bareiss([[int(x) for x in row] for row in a])
+
+
+def det(a) -> Fraction:
+    if not a:
+        return Fraction(1)
+    scales, rows = zip(*map(_scaled_row, a))
+    return Fraction(_bareiss(list(rows)), prod(scales))
+
+
 def inv(a):
     n = len(a)
-    a = copy_matrix(a)
-    out = identity(n)
-    for t in range(n):
-        piv = None
-        for i in range(t, n):
-            if a[i][t]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != t:
-            a[t], a[piv] = a[piv], a[t]
-            out[t], out[piv] = out[piv], out[t]
-        f = 1 / a[t][t]
-        a[t] = [x * f for x in a[t]]
-        out[t] = [x * f for x in out[t]]
-        for i in range(n):
-            if i != t and a[i][t]:
-                g = a[i][t]
-                a[i] = [x - g * y for x, y in zip(a[i], a[t])]
-                out[i] = [x - g * y for x, y in zip(out[i], out[t])]
-    return out
+    # [sA | s], s the diagonal of row scales, has the same reduced form as [A | I]
+    aug = []
+    for i, row in enumerate(a):
+        s, srow = _scaled_row(row)
+        srow += [0] * n
+        srow[n + i] = s
+        aug.append(srow)
+    if len(_int_rref(aug, n)) < n:
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
 
 
 def rank(a) -> int:
-    a = copy_matrix(a)
-    rows, cols = len(a), len(a[0]) if a else 0
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        f = 1 / a[r][c]
-        a[r] = [x * f for x in a[r]]
-        for i in range(r + 1, rows):
-            if a[i][c]:
-                g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    rows = [_scaled_row(row)[1] for row in a]
+    return len(_int_rref(rows, len(rows[0]) if rows else 0))
 
 
 def nullspace(a):
     """Basis of the right kernel of a (rows x cols), as length-cols vectors."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    a = copy_matrix(a)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        f = 1 / a[r][c]
-        a[r] = [x * f for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    rows = [_scaled_row(row)[1] for row in a]
+    cols = len(rows[0]) if rows else 0
+    pivots = _int_rref(rows, cols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -199,32 +176,11 @@ def solve_columns(cols, target):
     """
     if not cols:
         return [] if all(t == 0 for t in target) else None
-    n = len(cols[0])
     r = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(r)] + [Fraction(target[i])] for i in range(n)]
-    row = 0
-    piv_rows = []
-    for c in range(r):
-        piv = None
-        for i in range(row, n):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[row], aug[piv] = aug[piv], aug[row]
-        f = 1 / aug[row][c]
-        aug[row] = [x * f for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][c]:
-                g = aug[i][c]
-                aug[i] = [x - g * y for x, y in zip(aug[i], aug[row])]
-        piv_rows.append(row)
-        row += 1
-    for i in range(row, n):
-        if aug[i][r]:
-            return None
-    return [aug[i][r] for i in range(r)]
+    aug = [_scaled_row([c[i] for c in cols] + [target[i]])[1] for i in range(len(cols[0]))]
+    if len(_int_rref(aug, r)) < r or any(row[r] for row in aug[r:]):
+        return None
+    return [Fraction(row[r], row[i]) for i, row in enumerate(aug[:r])]
 
 
 # ---------------------------------------------------------------------------

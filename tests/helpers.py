@@ -288,3 +288,178 @@ def one_sided_bfs_dist(reference: LatticeBasis, start: LatticeBasis, targets, ra
                     nxt.append(nt)
         frontier = nxt
     return None
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination in Fractions: the oracles for the integer kernel of
+# btpgl.linalg, which must return the same values of the same type.
+
+
+def fraction_det(a) -> Fraction:
+    a = linalg.copy_matrix(a)
+    n = len(a)
+    d = Fraction(1)
+    for t in range(n):
+        piv = None
+        for i in range(t, n):
+            if a[i][t]:
+                piv = i
+                break
+        if piv is None:
+            return Fraction(0)
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            d = -d
+        d *= a[t][t]
+        inv_p = 1 / a[t][t]
+        for i in range(t + 1, n):
+            if a[i][t]:
+                f = a[i][t] * inv_p
+                for j in range(t, n):
+                    a[i][j] -= f * a[t][j]
+    return d
+
+
+def fraction_inv(a):
+    n = len(a)
+    a = linalg.copy_matrix(a)
+    out = linalg.identity(n)
+    for t in range(n):
+        piv = None
+        for i in range(t, n):
+            if a[i][t]:
+                piv = i
+                break
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            out[t], out[piv] = out[piv], out[t]
+        f = 1 / a[t][t]
+        a[t] = [x * f for x in a[t]]
+        out[t] = [x * f for x in out[t]]
+        for i in range(n):
+            if i != t and a[i][t]:
+                g = a[i][t]
+                a[i] = [x - g * y for x, y in zip(a[i], a[t])]
+                out[i] = [x - g * y for x, y in zip(out[i], out[t])]
+    return out
+
+
+def fraction_rank(a) -> int:
+    a = linalg.copy_matrix(a)
+    rows, cols = len(a), len(a[0]) if a else 0
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        f = 1 / a[r][c]
+        a[r] = [x * f for x in a[r]]
+        for i in range(r + 1, rows):
+            if a[i][c]:
+                g = a[i][c]
+                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def fraction_nullspace(a):
+    """Basis of the right kernel of a (rows x cols), as length-cols vectors."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    a = linalg.copy_matrix(a)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        f = 1 / a[r][c]
+        a[r] = [x * f for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                g = a[i][c]
+                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i][fc]
+        basis.append(v)
+    return basis
+
+
+def fraction_solve_columns(cols, target):
+    """Coefficients x with sum x_j * cols[j] = target, or None if inconsistent.
+
+    Assumes the columns are linearly independent, so the solution is unique
+    when it exists.
+    """
+    if not cols:
+        return [] if all(t == 0 for t in target) else None
+    n = len(cols[0])
+    r = len(cols)
+    aug = [[Fraction(cols[j][i]) for j in range(r)] + [Fraction(target[i])] for i in range(n)]
+    row = 0
+    piv_rows = []
+    for c in range(r):
+        piv = None
+        for i in range(row, n):
+            if aug[i][c]:
+                piv = i
+                break
+        if piv is None:
+            return None
+        aug[row], aug[piv] = aug[piv], aug[row]
+        f = 1 / aug[row][c]
+        aug[row] = [x * f for x in aug[row]]
+        for i in range(n):
+            if i != row and aug[i][c]:
+                g = aug[i][c]
+                aug[i] = [x - g * y for x, y in zip(aug[i], aug[row])]
+        piv_rows.append(row)
+        row += 1
+    for i in range(row, n):
+        if aug[i][r]:
+            return None
+    return [aug[i][r] for i in range(r)]
+
+
+def fraction_span_fold(ambient: LatticeBasis, submodules):
+    """The vectors that :func:`btpgl.lattices.intersect_spans` passes to
+    saturate_coords, recombined in Fractions: the oracle for its integer
+    recombination."""
+    subs = list(submodules)
+    cur = [list(c) for c in subs[0].columns]
+    n = ambient.dim
+    for sub in subs[1:]:
+        nxt = [list(c) for c in sub.columns]
+        if not cur or not nxt:
+            return []
+        r1 = len(cur)
+        rows = [[cur[j][i] for j in range(r1)] + [-nxt[j][i] for j in range(len(nxt))] for i in range(n)]
+        null = fraction_nullspace(rows)
+        cur = [
+            [sum((vec[j] * cur[j][i] for j in range(r1)), Fraction(0)) for i in range(n)]
+            for vec in null
+        ]
+    return cur

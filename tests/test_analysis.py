@@ -1,6 +1,7 @@
 """One analysis pass per configuration: the span fold, the mod-p echelons
 and the properness classification are counted across whole operations."""
 
+import hashlib
 import json
 
 from btpgl import cycles, lattices, linalg, serialize
@@ -57,3 +58,50 @@ def test_cli_intersect_higherdim_is_one_pass(tmp_path, monkeypatch, capsys):
     # parsing checks each cycle is split (one echelon each)
     assert counts["intersect_spans"] <= 4
     assert counts["echelon_mod_p"] <= 10
+
+
+def _instance_outputs(seed, n, p, mode):
+    """Every exact output of one seeded instance, as strings."""
+    d = n if mode != "higherdim" else n - 1
+    sample = cycles.random_instance(seed, n, p, d, max_val=3, mode=mode)
+    cfg = sample.config
+    analysis = cycles.analyze(cfg)
+    out = [
+        sample.rejections,
+        [[str(x) for x in c] for c in analysis.generic.columns],
+        [list(r) for r in analysis.special],
+        [[[str(x) for x in c] for c in lj.columns] for lj in analysis.partials],
+    ]
+    if mode == "higherdim":
+        family = cycles.higherdim_vertex_family(cfg)
+        out.append(cycles.decompose_intersection(cfg).special_multiplicity)
+    else:
+        family = cycles.vertex_family(cfg)
+        out.append([[str(x) for x in f.coefficients] for f in cycles.realized_forms(cfg)])
+    out.append(cycles.nearest_family_member(cfg.ambient, family))
+    return out
+
+
+# outputs_digest() at commit 5aea513, whose linalg eliminated in Fractions
+RECORDED_DIGEST = "40b67b56a6b52e8ea3c3d3303e8ff51078b869a2f0598a9408745aa09d7f500c"
+
+
+def outputs_digest():
+    """sha256 of the outputs of 99 seeded instances: n = 2..5, p = 2, 3, 5,
+    every mode that fits n, seeds 1..3."""
+    grid = [
+        (seed, n, p, mode)
+        for n in (2, 3, 4, 5)
+        for p in (2, 3, 5)
+        for mode in ("hyperplanes", "submodules", "higherdim")
+        if mode != "higherdim" or n > 2
+        for seed in (1, 2, 3)
+    ]
+    text = json.dumps([_instance_outputs(*cell) for cell in grid])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_exact_outputs_match_the_recorded_digest():
+    # L0, the special rows, the L_j, the realized forms and the nearest member
+    # do not depend on how linalg eliminates, so they must not change
+    assert outputs_digest() == RECORDED_DIGEST

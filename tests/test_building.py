@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,6 +25,7 @@ from btpgl.cycles import (
     family_window_keys,
     nearest_family_member,
     random_instance,
+    verify_intersection_identity,
     vertex_family,
 )
 from btpgl.errors import EnumerationTooLarge
@@ -300,21 +302,100 @@ def test_bfs_rejects_negative_radius():
         bfs_dist(std, std, {class_key(std, std)}, -1)
 
 
+def search_key_bound(n, p, radius, ntargets):
+    """1 + t + deg * sum_{s<r} max_{a+b=s} min(D(a), t*D(b)): the class keys a
+    search from both ends can compute, D(0) = 1, D(k) = deg*(deg-1)^(k-1)."""
+    deg = neighbor_count(n, p)
+
+    def layer(k):
+        return 1 if k == 0 else deg * (deg - 1) ** (k - 1)
+
+    steps = (max(min(layer(a), ntargets * layer(s - a)) for a in range(s + 1)) for s in range(radius))
+    return 1 + ntargets + deg * sum(steps)
+
+
 def test_bfs_radius_bounded_by_enumeration_cap(monkeypatch):
     # at (3,3) a ball of radius 4 may hold 423,177 classes and one of radius
-    # 5 10,579,427: the default cap of 10^6 admits the first only
+    # 5 10,579,427: the default cap of 10^6 admits the first only.  A search
+    # from both ends to one target computes at most 18,306 keys to radius 5
+    # and 880,206 to radius 8, but 11,442,706 to radius 9.
+    assert [search_key_bound(3, 3, r, 1) for r in (4, 5, 8, 9)] == [1406, 18306, 880206, 11442706]
     std = LatticeBasis.standard(ctx3, 3)
     key = class_key(std, std)
     assert bfs_dist(std, std, {key}, 4) == 0
+    assert bfs_dist(std, std, {key}, 8) == 0
     with pytest.raises(EnumerationTooLarge):
-        bfs_dist(std, std, {key}, 5)
+        bfs_dist(std, std, {key}, 9)
     with pytest.raises(EnumerationTooLarge):
         bfs_ball(std, std, 5)
-    monkeypatch.setenv("BTPGL_ENUM_CAP", "423176")
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "1405")
     with pytest.raises(EnumerationTooLarge):
         bfs_dist(std, std, {key}, 4)
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "1406")
+    assert bfs_dist(std, std, {key}, 4) == 0
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "423176")
+    with pytest.raises(EnumerationTooLarge):
+        bfs_ball(std, std, 4)
     monkeypatch.setenv("BTPGL_ENUM_CAP", "27")
     assert len(bfs_ball(std, std, 1)[0]) == 27
+
+
+def test_search_gate_counts_the_targets(monkeypatch):
+    # the backward frontier starts with every target class
+    std = LatticeBasis.standard(ctx3, 3)
+    targets = {class_key(std, LatticeBasis.diagonal(ctx3, [1, 1, 3**k])) for k in range(1, 4)}
+    assert search_key_bound(3, 3, 4, 3) == 2812
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "2811")
+    with pytest.raises(EnumerationTooLarge):
+        bfs_dist(std, std, targets, 4)
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "2812")
+    assert bfs_dist(std, std, targets, 4) == 1
+
+
+@contextmanager
+def counting_search_keys():
+    """Count the class keys computed inside the block."""
+    counts = [0]
+    key_from_rows = building._key_from_integer_rows
+
+    def counting(p, tz):
+        counts[0] += 1
+        return key_from_rows(p, tz)
+
+    building._key_from_integer_rows = counting
+    try:
+        yield counts
+    finally:
+        building._key_from_integer_rows = key_from_rows
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.sampled_from([2, 3]),
+    p=st.sampled_from([2, 3]),
+    spread=st.integers(0, 4),
+)
+def test_search_keys_within_the_bound_on_random_pairs(seed, n, p, spread):
+    rng = random.Random(seed)
+    ctx = PAdicContext(p)
+    a = random_lattice(rng, ctx, n, rng.randrange(0, 3))
+    b = random_lattice(rng, ctx, n, spread)
+    target = class_key(a, b)
+    radius = dist(a, b)
+    with counting_search_keys() as counts:
+        assert bfs_dist(a, a, {target}, radius) == radius
+    assert counts[0] <= search_key_bound(n, p, radius, 1)
+
+
+def test_search_keys_within_the_bound_on_family_targets():
+    for seed in range(1, 40):
+        cfg = random_instance(seed, 3, 2, 3, max_val=4, mode="hyperplanes").config
+        rhs = verify_intersection_identity(cfg).rhs
+        keys = family_window_keys(cfg.ambient, vertex_family(cfg))
+        with counting_search_keys() as counts:
+            assert bfs_dist(cfg.ambient, cfg.ambient, keys, rhs) == rhs
+        assert counts[0] <= search_key_bound(3, 2, rhs, len(keys))
 
 
 def _moved(rng, lattice, p):

@@ -129,9 +129,11 @@ def test_verify_small_campaign(capsys):
     assert "wall_time" in out and "rejections" in out and "max_lhs" in out
 
 
-def test_verify_skips_bfs_checks_beyond_the_cap(capsys):
-    # at (3,5) a radius-4 ball may hold more classes than the default cap:
-    # that check is skipped and counted, and the campaign still exits 0
+def test_verify_skips_bfs_checks_beyond_the_cap(capsys, monkeypatch):
+    # trial 1 at (3,5) searches to radius 4 from 217 target classes, which
+    # may compute 252,062 keys: under a cap of 10^5 that check is skipped and
+    # counted, and the campaign still exits 0
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "100000")
     rc = main(
         ["verify", "--n", "3", "--p", "5", "--oracle", "both", "--seed", "72", "--trials", "3"]
     )
@@ -139,6 +141,14 @@ def test_verify_skips_bfs_checks_beyond_the_cap(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["agreements"] == 3
     assert (out["bfs_checked"], out["bfs_skipped"]) == (2, 1)
+
+
+def test_dist_both_oracles_at_distance_5_within_the_cap(tmp_path, capsys):
+    # a ball of radius 5 at (3,3) may hold 10,579,427 classes, but the search
+    # from both ends computes at most 18,306 keys, so the BFS runs
+    path = write(tmp_path / "pair.json", pair_instance(3, [1, 3, 3**5]))
+    assert main(["dist", path, "--oracle", "both"]) == 0
+    assert capsys.readouterr().out == "5\n5\n"
 
 
 def test_verify_higherdim_campaign(capsys):
@@ -312,8 +322,9 @@ def test_export_dot_negative_radius_exits_1(tmp_path, capsys):
 
 
 def test_dist_bfs_beyond_enumeration_cap_exits_4(tmp_path, capsys):
-    # distance 8 at (3,3): a ball of radius 8 could hold far more than 10^6 classes
-    path = write(tmp_path / "pair.json", pair_instance(3, [1, 1, 3**8]))
+    # distance 9 at (3,3): a search from both ends to radius 9 may compute
+    # 11,442,706 class keys, far more than 10^6
+    path = write(tmp_path / "pair.json", pair_instance(3, [1, 1, 3**9]))
     start = time.perf_counter()
     assert main(["dist", path, "--oracle", "both"]) == 4
     assert time.perf_counter() - start < 5.0

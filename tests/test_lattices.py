@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from btpgl import linalg
+from btpgl import cycles, lattices, linalg
 from btpgl.errors import NonIntegralEntry, NotSplitInside, NotUnimodular
 from btpgl.lattices import (
     DualForm,
@@ -15,12 +15,18 @@ from btpgl.lattices import (
     is_split,
     same_submodule,
     saturate,
+    saturate_coords,
     transform_dual_form,
     triangularize,
 )
 from btpgl.padic import INFINITY, PAdicContext
 
-from helpers import random_unimodular, sympy_invariant_exponents
+from helpers import (
+    fraction_span_fold,
+    random_lattice,
+    random_unimodular,
+    sympy_invariant_exponents,
+)
 
 ctx2 = PAdicContext(2)
 ctx3 = PAdicContext(3)
@@ -223,6 +229,30 @@ def test_intersect_spans_examples():
     h1 = SplitSubmodule(std2, [(1, 0)])
     h2 = SplitSubmodule(std2, [(0, 1)])
     assert intersect_spans(std2, [h1, h2]).rank == 0
+
+
+def test_intersect_spans_matches_fraction_recombination(monkeypatch):
+    # the fold recombines in integers; saturate_coords must see the same
+    # vectors as with the sums in Fractions
+    seen = []
+
+    def recording(ambient, kvectors):
+        seen.append(kvectors)
+        return saturate_coords(ambient, kvectors)
+
+    monkeypatch.setattr(lattices, "saturate_coords", recording)
+    rng = random.Random(11)
+    for trial in range(120):
+        p = rng.choice((2, 3, 5))
+        ctx = PAdicContext(p)
+        n = rng.randrange(2, 6)
+        ambient = LatticeBasis.standard(ctx, n) if trial % 2 else random_lattice(rng, ctx, n, 3)
+        subs = [
+            cycles._random_split(rng, ambient, rng.randrange(max(1, n - 2), n), rng.randrange(1, 7))
+            for _ in range(rng.randrange(2, 4))
+        ]
+        intersect_spans(ambient, subs)
+        assert seen.pop() == fraction_span_fold(ambient, subs)
 
 
 def test_complete_to_complement_trivial_cases():

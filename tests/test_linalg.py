@@ -1,7 +1,18 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from btpgl import linalg
+
+from helpers import (
+    fraction_det,
+    fraction_inv,
+    fraction_nullspace,
+    fraction_rank,
+    fraction_solve_columns,
+)
 
 
 def test_det_inv_roundtrip():
@@ -44,3 +55,87 @@ def test_intersect_mod_p():
     inter = linalg.intersect_mod_p(a, b, 5)
     assert inter == [[0, 1, 0]]
     assert linalg.intersect_mod_p([[1, 0]], [[0, 1]], 2) == []
+
+
+def same(x, y) -> bool:
+    """Equal values of the same types, list by list."""
+    if isinstance(x, list):
+        return isinstance(y, list) and len(x) == len(y) and all(map(same, x, y))
+    return type(x) is type(y) and x == y
+
+
+def entries(p):
+    """Zero, ints up to p^40 and Fractions whose denominators are coprime to
+    p or divisible by it."""
+    big = st.integers(-(p**40), p**40)
+    denominator = st.builds(lambda k, u: p**k * u, st.integers(0, 40), st.integers(1, 12))
+    return st.one_of(st.just(0), st.integers(-9, 9), big, st.builds(Fraction, big, denominator))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Matrices of 0..5 rows, often with the last row a combination of the
+    first two, so singular and rank-deficient inputs come up."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    nrows = draw(st.integers(0, 5))
+    ncols = nrows if square else draw(st.integers(0, 5))
+    e = entries(p)
+    a = [[draw(e) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        x, y = draw(st.integers(-3, 3)), draw(e)
+        a[-1] = [x * u + y * v for u, v in zip(a[0], a[1])]
+    return a
+
+
+def inverse_or_singular(inverse, a):
+    try:
+        return inverse(a)
+    except ValueError:
+        return "singular"
+
+
+@settings(deadline=None, max_examples=150)
+@given(matrices())
+def test_rank_and_nullspace_match_fraction_elimination(a):
+    assert same(linalg.rank(a), fraction_rank(a))
+    assert same(linalg.nullspace(a), fraction_nullspace(a))
+
+
+@settings(deadline=None, max_examples=150)
+@given(matrices(square=True))
+def test_det_and_inv_match_fraction_elimination(a):
+    assert same(linalg.det(a), fraction_det(a))
+    assert same(inverse_or_singular(linalg.inv, a), inverse_or_singular(fraction_inv, a))
+
+
+def test_empty_and_singular_inputs_match_fraction_elimination():
+    assert same(linalg.det([]), fraction_det([])) and linalg.det([]) == 1
+    assert same(linalg.inv([]), fraction_inv([]))
+    assert same(linalg.nullspace([]), fraction_nullspace([]))
+    assert same(linalg.nullspace([[0, 0, 0]]), fraction_nullspace([[0, 0, 0]]))
+    with pytest.raises(ValueError):
+        linalg.inv([[2, 4], [Fraction(1, 3), Fraction(2, 3)]])
+
+
+@settings(deadline=None, max_examples=150)
+@given(matrices(), st.data())
+def test_solve_columns_matches_fraction_elimination(a, data):
+    cols = linalg.rows_to_columns(a)
+    if not a or not cols:
+        return
+    e = entries(3)
+    # a target in the span of the columns, and one that usually lies outside
+    inside = linalg.matvec(a, [data.draw(e) for _ in cols])
+    outside = [data.draw(e) for _ in a]
+    for target in (inside, outside):
+        assert same(linalg.solve_columns(cols, target), fraction_solve_columns(cols, target))
+
+
+def test_solve_columns_inconsistent_target_with_large_entries():
+    p40 = 3**40
+    cols = [[p40, 0, 1], [0, Fraction(1, p40), 1]]
+    target = [p40, 0, 0]
+    assert linalg.solve_columns(cols, target) is None
+    assert fraction_solve_columns(cols, target) is None
+    target = [2 * p40, Fraction(3, p40), 5]
+    assert same(linalg.solve_columns(cols, target), [Fraction(2), Fraction(3)])
