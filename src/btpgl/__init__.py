@@ -6,7 +6,6 @@ from .building import (
     adjacent,
     bfs_ball,
     bfs_dist,
-    class_equal,
     class_key,
     dist,
     gaussian_binomial,

@@ -2,7 +2,7 @@
 
 Homothety classes of full-rank lattices are the vertices; two distinct
 classes are adjacent when representatives satisfy pN < M < N.  This module
-provides canonical class keys, class equality, adjacency, the invariant-factor
+provides canonical class keys, adjacency, the invariant-factor
 distance formula, neighbor enumeration over F_p, a BFS distance oracle, and
 DOT export of BFS balls.  Apartment membership is distance 0 to a vertex
 family of frame lines (:func:`btpgl.cycles.nearest_family_member`).
@@ -189,20 +189,6 @@ def block_scaled_keys(reference: LatticeBasis, lattice: LatticeBasis, ranks, exp
     return keys
 
 
-def class_equal(l1: LatticeBasis, l2: LatticeBasis) -> bool:
-    """True iff the lattices differ by a scalar of K^x.
-
-    Criterion: with m the minimal entry valuation of the transition matrix T,
-    the determinant valuation equals n*m, i.e. p^{-m} T is unimodular.
-    """
-    if l1.ctx.p != l2.ctx.p or l1.dim != l2.dim:
-        raise ValueError("lattices live in different spaces")
-    ctx = l1.ctx
-    t = linalg.matmul(l1.inverse_rows(), l2.rows())
-    m = min(ctx.val(x) for row in t for x in row if x)
-    return ctx.val(linalg.det(t)) == l1.dim * m
-
-
 def adjacent(l1: LatticeBasis, l2: LatticeBasis) -> bool:
     """True iff the classes are distinct and have representatives with
     pN < M < N; equivalently the normalized invariant exponents are {0, 1}."""
@@ -270,7 +256,7 @@ def _neighbor_transform_list(n: int, p: int):
         for rows, pivots in _rref_representatives(n, k, p):
             cols = [list(r) for r in rows]
             cols += [[p if i == j else 0 for i in range(n)] for j in range(n) if j not in pivots]
-            out.append(linalg.columns_to_rows(cols))
+            out.append(linalg.transpose(cols))
     return out
 
 
@@ -279,9 +265,9 @@ def _cached_transforms(n: int, p: int):
     return tuple(_neighbor_transform_list(n, p))
 
 
-def _neighbor_transforms(n: int, p: int, cap: int | None = None):
+def _neighbor_transforms(n: int, p: int):
     total = neighbor_count(n, p)
-    limit = cap if cap is not None else enumeration_cap()
+    limit = enumeration_cap()
     if total > limit:
         raise EnumerationTooLarge(
             f"{total} proper subspaces of F_{p}^{n} exceed the cap of {limit}"
@@ -340,7 +326,7 @@ def _expand(p: int, t, transforms):
         yield _key_from_integer_rows(p, nt), nt
 
 
-def neighbors(reference: LatticeBasis, lattice: LatticeBasis, cap: int | None = None):
+def neighbors(reference: LatticeBasis, lattice: LatticeBasis):
     """All classes adjacent to the given one, one representative lattice each.
 
     Sublattices between pL and L correspond to nonzero proper subspaces of
@@ -349,7 +335,7 @@ def neighbors(reference: LatticeBasis, lattice: LatticeBasis, cap: int | None = 
     bug, so it trips an assertion.
     """
     ctx = lattice.ctx
-    transforms = _neighbor_transforms(lattice.dim, ctx.p, cap)
+    transforms = _neighbor_transforms(lattice.dim, ctx.p)
     keys = [key for key, _ in _expand(ctx.p, _integer_transition(reference, lattice), transforms)]
     assert len(set(keys)) == len(keys), "duplicate neighbor class"
     rows = lattice.rows()

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import building, cycles, serialize
 from .errors import (
@@ -28,24 +27,6 @@ EXIT_PARSE = 1
 EXIT_IMPROPER = 2
 EXIT_DISAGREE = 3
 EXIT_ENUMERATION = 4
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    seed: int
-    trials: int
-    n: int
-    p: int
-    d: int
-    max_val: int
-    mode: str
-    oracle: str
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.oracle not in ("formula", "bfs", "both"):
-            raise ValueError("oracle must be formula, bfs or both")
 
 
 def _load_json(path: str) -> dict:
@@ -116,16 +97,9 @@ def cmd_dist(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = CampaignConfig(
-        seed=args.seed,
-        trials=args.trials,
-        n=args.n,
-        p=args.p,
-        d=args.d if args.d is not None else (args.n if args.mode == "hyperplanes" else 2),
-        max_val=args.max_val,
-        mode=args.mode,
-        oracle=args.oracle,
-    )
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
+    d = args.d if args.d is not None else (args.n if args.mode == "hyperplanes" else 2)
     start = time.perf_counter()
     agreements = 0
     rejections = 0
@@ -134,17 +108,17 @@ def cmd_verify(args) -> int:
     max_lhs = 0
     failed_seeds = []
     failure = None
-    for trial in range(config.trials):
+    for trial in range(args.trials):
         sample = cycles.random_instance(
-            seed=config.seed + trial,
-            n=config.n,
-            p=config.p,
-            d=config.d,
-            max_val=config.max_val,
-            mode=config.mode,
+            seed=args.seed + trial,
+            n=args.n,
+            p=args.p,
+            d=d,
+            max_val=args.max_val,
+            mode=args.mode,
         )
         rejections += sample.rejections
-        if config.mode == "higherdim":
+        if args.mode == "higherdim":
             dec = cycles.decompose_intersection(sample.config)
             permuted = cycles.CycleConfiguration(
                 sample.config.ambient, tuple(reversed(sample.config.submodules))
@@ -156,7 +130,7 @@ def cmd_verify(args) -> int:
             report = cycles.verify_intersection_identity(sample.config)
             agree = report.agree
             max_lhs = max(max_lhs, report.lhs)
-            if agree and config.oracle in ("bfs", "both") and config.n <= 3 and report.rhs <= 4:
+            if agree and args.oracle in ("bfs", "both"):
                 fam = cycles.vertex_family(sample.config)
                 keys = cycles.family_window_keys(sample.config.ambient, fam)
                 try:
@@ -164,7 +138,7 @@ def cmd_verify(args) -> int:
                         sample.config.ambient, sample.config.ambient, keys, radius_cap=report.rhs
                     )
                 except EnumerationTooLarge:
-                    # the ball may exceed the cap: the formula stands unchecked
+                    # the search may exceed the cap: the formula stands unchecked
                     bfs_skipped += 1
                 else:
                     bfs_checked += 1
@@ -172,18 +146,18 @@ def cmd_verify(args) -> int:
         if agree:
             agreements += 1
         else:
-            failed_seeds.append(config.seed + trial)
+            failed_seeds.append(args.seed + trial)
             failure = failure or (trial, sample)
     wall = time.perf_counter() - start
     summary = {
-        "trials": config.trials,
+        "trials": args.trials,
         "agreements": agreements,
         "rejections": rejections,
         "max_lhs": max_lhs,
         "failed_seeds": failed_seeds,
         "wall_time": round(wall, 3),
     }
-    if config.oracle in ("bfs", "both"):
+    if args.oracle in ("bfs", "both"):
         summary["bfs_checked"] = bfs_checked
         summary["bfs_skipped"] = bfs_skipped
     _print_json(summary)
@@ -191,7 +165,7 @@ def cmd_verify(args) -> int:
         trial, sample = failure
         path = f"{args.out or '.'}/disagreement_trial_{trial}.json"
         payload = serialize.instance_to_json(
-            config.p,
+            args.p,
             sample.config.ambient,
             sample.forms if sample.forms is not None else sample.config.submodules,
         )

@@ -157,7 +157,7 @@ class VertexFamily:
             cols.extend(list(c) for c in g.columns)
         if len(cols) != n:
             raise ValueError("generator ranks must sum to the dimension")
-        if linalg.det(linalg.columns_to_rows(cols)) == 0:
+        if linalg.det(linalg.transpose(cols)) == 0:
             raise ValueError("generator spans are not independent")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "generators", gens)
@@ -351,7 +351,7 @@ def nearest_family_member(lattice: LatticeBasis, family: VertexFamily):
     """
     ambient = family.ambient
     ctx = ambient.ctx
-    f = linalg.columns_to_rows(family.concatenated_columns())
+    f = linalg.transpose(family.concatenated_columns())
     t, t_inv = linalg.inv(f), f
     if lattice != ambient:
         t = linalg.matmul(t, linalg.matmul(ambient.inverse_rows(), lattice.rows()))
@@ -401,7 +401,7 @@ def realized_forms(cfg: CycleConfiguration):
     for s in cfg.submodules:
         comp = complete_to_complement(full, s)
         u_cols = [list(c) for c in s.columns] + [list(c) for c in comp.columns]
-        u_inv = linalg.inv(linalg.columns_to_rows(u_cols))
+        u_inv = linalg.inv(linalg.transpose(u_cols))
         for pos in range(s.rank, n):
             forms.append(DualForm(ambient, tuple(u_inv[pos])))
     return forms

@@ -60,7 +60,7 @@ class LatticeBasis:
 
     @classmethod
     def from_rows(cls, ctx: PAdicContext, rows) -> "LatticeBasis":
-        return cls(ctx, linalg.rows_to_columns(rows))
+        return cls(ctx, linalg.transpose(rows))
 
     @classmethod
     def diagonal(cls, ctx: PAdicContext, entries) -> "LatticeBasis":
@@ -85,10 +85,6 @@ class LatticeBasis:
         if s == 0:
             raise ValueError("cannot scale a lattice by zero")
         return LatticeBasis(self.ctx, [[s * x for x in col] for col in self.columns])
-
-    def right_multiply(self, u_rows) -> "LatticeBasis":
-        """New basis with matrix self * U; spans the same lattice iff U is unimodular."""
-        return LatticeBasis.from_rows(self.ctx, linalg.matmul(self.rows(), u_rows))
 
     def __eq__(self, other) -> bool:
         return (
@@ -121,7 +117,7 @@ class SplitSubmodule:
             for x in c:
                 if not ambient.ctx.is_integral(x):
                     raise NonIntegralEntry(f"coordinate {x} is not {ambient.ctx.p}-integral")
-        if cols and linalg.rank(linalg.columns_to_rows(cols)) != len(cols):
+        if cols and linalg.rank(linalg.transpose(cols)) != len(cols):
             raise ValueError("coordinate columns are K-linearly dependent")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "columns", cols)
@@ -181,10 +177,6 @@ class DualForm:
         if not has_unit:
             raise ValueError("form is not primitive: no unit coefficient")
 
-    def evaluate_coords(self, coords) -> Fraction:
-        """Value of the form on a vector given in ambient coordinates."""
-        return sum((a * Fraction(c) for a, c in zip(self.coefficients, coords)), Fraction(0))
-
 
 @dataclass(frozen=True)
 class TriangularizationResult:
@@ -204,34 +196,38 @@ def _freeze(rows) -> tuple:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def _min_val_pivot(ctx: PAdicContext, a, t: int):
-    """(valuation, row, column) of the first entry of least valuation in the
-    working submatrix a[t:][t:], or None when it is zero."""
-    best = None
-    for i in range(t, len(a)):
-        row = a[i]
-        for j in range(t, len(row)):
-            if row[j]:
-                v = ctx.val(row[j])
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-    return best
+def _eliminate(ctx: PAdicContext, b, p_cols=None):
+    """Valuation-pivoted elimination of an n x m matrix, in place.
 
+    Step t moves an entry of least valuation in the working submatrix
+    b[t:][t:] to the pivot position (first such entry in row-major order)
+    and clears the column below it with multipliers from the valuation ring.
+    Stops when the working submatrix is zero or empty.  Returns the column
+    order and the pivot valuations, which are the diagonal valuations of the
+    result.
 
-def _eliminate(ctx: PAdicContext, b, c=None):
-    """Valuation-pivoted elimination of a square matrix, in place.
-
-    Step t moves an entry of least valuation in the working submatrix to the
-    pivot position and clears the column below it with multipliers from the
-    valuation ring; the row operations are repeated on c when given.  Stops
-    when the working submatrix is zero.  Returns the column order and the
-    pivot valuations, which are the diagonal valuations of the result.
+    When given, p_cols, the columns of an n x n matrix, receives the inverse
+    of each row operation, applied on the right: a row swap swaps two of its
+    columns, and subtracting m times row t from row i adds m times column i
+    to column t.  Started from I, it ends as C^{-1}, where C is the product
+    of the row operations, so C * b_in = b_out.  The multipliers lie in the
+    valuation ring, so C^{-1} is unimodular.  As b_in = C^{-1} * b_out and
+    b_out is zero below its r pivot rows, the first r columns of C^{-1} span
+    the columns of b_in over K; being part of a basis of R^n, they span the
+    saturation of that K-span.
     """
     n = len(b)
-    colorder = list(range(n))
+    colorder = list(range(len(b[0]) if b else 0))
     vals = []
     for t in range(n):
-        best = _min_val_pivot(ctx, b, t)
+        best = None
+        for i in range(t, n):
+            row = b[i]
+            for j in range(t, len(row)):
+                if row[j]:
+                    v = ctx.val(row[j])
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
         if best is None:
             break
         v, bi, bj = best
@@ -242,15 +238,15 @@ def _eliminate(ctx: PAdicContext, b, c=None):
             colorder[t], colorder[bj] = colorder[bj], colorder[t]
         if bi != t:
             b[t], b[bi] = b[bi], b[t]
-            if c is not None:
-                c[t], c[bi] = c[bi], c[t]
+            if p_cols is not None:
+                p_cols[t], p_cols[bi] = p_cols[bi], p_cols[t]
         piv = b[t][t]
         for i in range(t + 1, n):
             if b[i][t]:
                 m = b[i][t] / piv
                 b[i] = [x - m * y for x, y in zip(b[i], b[t])]
-                if c is not None:
-                    c[i] = [x - m * y for x, y in zip(c[i], c[t])]
+                if p_cols is not None:
+                    p_cols[t] = [x + m * y for x, y in zip(p_cols[t], p_cols[i])]
     return colorder, vals
 
 
@@ -269,8 +265,9 @@ def triangularize(ctx: PAdicContext, a) -> TriangularizationResult:
         for x in row:
             if not ctx.is_integral(x):
                 raise NonIntegralEntry(f"entry {x} is not {ctx.p}-integral")
-    c = linalg.identity(n)
-    colorder, _ = _eliminate(ctx, b, c)
+    p_cols = linalg.identity(n)
+    colorder, _ = _eliminate(ctx, b, p_cols)
+    c = linalg.inv(linalg.transpose(p_cols))
     d = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
         d[colorder[j]][j] = Fraction(1)
@@ -301,7 +298,7 @@ def is_split(sub: SplitSubmodule) -> bool:
     """
     if sub.rank == 0:
         return True
-    rows = linalg.columns_to_rows(sub.reduction())
+    rows = linalg.transpose(sub.reduction())
     return linalg.rank_mod_p(rows, sub.ambient.ctx.p) == sub.rank
 
 
@@ -315,30 +312,9 @@ def saturate_coords(ambient: LatticeBasis, kvectors) -> SplitSubmodule:
     if not vecs:
         return SplitSubmodule(ambient, ())
     u = [[v[i] for v in vecs] for i in range(n)]
-    ncols = len(vecs)
-    # P tracks the inverse of the row operations; it stays unimodular over R,
-    # and its first r columns end up spanning the saturation.
-    p_cols = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
-    t = 0
-    while t < min(n, ncols):
-        best = _min_val_pivot(ctx, u, t)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            u[t], u[bi] = u[bi], u[t]
-            p_cols[t], p_cols[bi] = p_cols[bi], p_cols[t]
-        if bj != t:
-            for row in u:
-                row[t], row[bj] = row[bj], row[t]
-        piv = u[t][t]
-        for i in range(t + 1, n):
-            if u[i][t]:
-                m = u[i][t] / piv
-                u[i] = [x - m * y for x, y in zip(u[i], u[t])]
-                p_cols[t] = [x + m * y for x, y in zip(p_cols[t], p_cols[i])]
-        t += 1
-    return SplitSubmodule(ambient, tuple(tuple(c) for c in p_cols[:t]))
+    p_cols = linalg.identity(n)
+    r = len(_eliminate(ctx, u, p_cols)[1])
+    return SplitSubmodule(ambient, tuple(tuple(c) for c in p_cols[:r]))
 
 
 def saturate(ambient: LatticeBasis, vectors) -> SplitSubmodule:

@@ -50,15 +50,6 @@ def matvec(a, v):
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
-def columns_to_rows(cols):
-    """Matrix whose j-th column is cols[j]."""
-    return [list(r) for r in zip(*cols)]
-
-
-def rows_to_columns(rows):
-    return [list(c) for c in zip(*rows)]
-
-
 def _scaled_row(row):
     """(s, s * row as ints) with s the lcm of the row's denominators."""
     s = 1

@@ -12,7 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from btpgl import building, linalg
 from btpgl.building import class_key, dist
 from btpgl.cycles import CycleConfiguration, VertexFamily, _tuples_with_spread
-from btpgl.lattices import LatticeBasis, SplitSubmodule
+from btpgl.lattices import DualForm, LatticeBasis, SplitSubmodule
 from btpgl.padic import PAdicContext, int_val
 
 
@@ -76,6 +76,31 @@ def random_lattice(rng: random.Random, ctx, n: int, spread: int) -> LatticeBasis
     return LatticeBasis.from_rows(ctx, [[scale * x for x in row] for row in rows])
 
 
+def right_multiply(lattice: LatticeBasis, u_rows) -> LatticeBasis:
+    """New basis with matrix lattice * U; spans the same lattice iff U is unimodular."""
+    return LatticeBasis.from_rows(lattice.ctx, linalg.matmul(lattice.rows(), u_rows))
+
+
+def class_equal(l1: LatticeBasis, l2: LatticeBasis) -> bool:
+    """True iff the lattices differ by a scalar of K^x: the oracle for equal
+    class keys and distance 0.
+
+    Criterion: with m the minimal entry valuation of the transition matrix T,
+    the determinant valuation equals n*m, i.e. p^{-m} T is unimodular.
+    """
+    if l1.ctx.p != l2.ctx.p or l1.dim != l2.dim:
+        raise ValueError("lattices live in different spaces")
+    ctx = l1.ctx
+    t = linalg.matmul(l1.inverse_rows(), l2.rows())
+    m = min(ctx.val(x) for row in t for x in row if x)
+    return ctx.val(linalg.det(t)) == l1.dim * m
+
+
+def evaluate_coords(form: DualForm, coords) -> Fraction:
+    """Value of the form on a vector given in ambient coordinates."""
+    return sum((a * Fraction(c) for a, c in zip(form.coefficients, coords)), Fraction(0))
+
+
 def apply_automorphism(cfg: CycleConfiguration, u_rows) -> CycleConfiguration:
     """Image configuration under the lattice automorphism with matrix U."""
     subs = [
@@ -87,7 +112,7 @@ def apply_automorphism(cfg: CycleConfiguration, u_rows) -> CycleConfiguration:
 
 def rebase(cfg: CycleConfiguration, u_rows) -> CycleConfiguration:
     """Same configuration expressed in the basis M*U of the same lattice."""
-    amb2 = cfg.ambient.right_multiply(u_rows)
+    amb2 = right_multiply(cfg.ambient, u_rows)
     uinv = linalg.inv(u_rows)
     subs = [
         SplitSubmodule(amb2, [linalg.matvec(uinv, list(c)) for c in s.columns])
@@ -174,7 +199,7 @@ class MinorValuationProfile:
 def family_profile(lattice: LatticeBasis, family: VertexFamily) -> MinorValuationProfile:
     ambient = family.ambient
     cols = family.concatenated_columns()
-    t0 = linalg.inv(linalg.columns_to_rows(cols))
+    t0 = linalg.inv(linalg.transpose(cols))
     if lattice != ambient:
         rel = linalg.matmul(ambient.inverse_rows(), lattice.rows())
         t0 = linalg.matmul(t0, rel)

@@ -143,6 +143,26 @@ def test_verify_skips_bfs_checks_beyond_the_cap(capsys, monkeypatch):
     assert (out["bfs_checked"], out["bfs_skipped"]) == (2, 1)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # n = 4, and rhs 6 at n = 3: the search fits the default cap
+        ["--n", "4", "--p", "2", "--seed", "1", "--trials", "3"],
+        ["--n", "3", "--p", "2", "--max-val", "6", "--seed", "19", "--trials", "1"],
+    ],
+)
+def test_verify_checks_bfs_whenever_the_search_fits_the_cap(capsys, argv):
+    assert main(["verify", "--oracle", "both"] + argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["agreements"] == out["trials"]
+    assert (out["bfs_checked"], out["bfs_skipped"]) == (out["trials"], 0)
+
+
+def test_verify_without_trials_exits_1(capsys):
+    assert main(["verify", "--trials", "0"]) == 1
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
 def test_dist_both_oracles_at_distance_5_within_the_cap(tmp_path, capsys):
     # a ball of radius 5 at (3,3) may hold 10,579,427 classes, but the search
     # from both ends computes at most 18,306 keys, so the BFS runs

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -22,9 +24,11 @@ from btpgl.lattices import (
 from btpgl.padic import INFINITY, PAdicContext
 
 from helpers import (
+    evaluate_coords,
     fraction_span_fold,
     random_lattice,
     random_unimodular,
+    right_multiply,
     sympy_invariant_exponents,
 )
 
@@ -156,8 +160,8 @@ def test_invariant_exponents_antisymmetry_and_invariance():
             ba = invariant_exponents(b, a)
             assert list(ab) == sorted(-x for x in ba)
             u = random_unimodular(rng, n, p)
-            assert invariant_exponents(a, b.right_multiply(u)) == ab
-            assert invariant_exponents(a.right_multiply(u), b) == ab
+            assert invariant_exponents(a, right_multiply(b, u)) == ab
+            assert invariant_exponents(right_multiply(a, u), b) == ab
             c = rng.randrange(1, 3)
             shifted = invariant_exponents(a, b.scale(Fraction(p) ** c))
             assert list(shifted) == [x - c for x in ab]
@@ -194,7 +198,7 @@ def test_saturate_examples():
     assert coeffs is not None and all(ctx2.is_integral(x) for x in coeffs)
     # same K-span as the input
     stacked = [list(c) for c in sat.columns] + [[1, 1, 0], [1, 1, 2]]
-    assert linalg.rank(linalg.columns_to_rows(stacked)) == 2
+    assert linalg.rank(linalg.transpose(stacked)) == 2
 
 
 def test_saturate_is_idempotent_and_split():
@@ -339,4 +343,61 @@ def test_transform_dual_form_preserves_vanishing():
         g = transform_dual_form(u, f)
         for col in [(-3, 1, 0), (-2, 0, 1)]:
             image = linalg.matvec(u, list(col))
-            assert g.evaluate_coords(image) == f.evaluate_coords(col) == 0
+            assert evaluate_coords(g, image) == evaluate_coords(f, col) == 0
+
+
+def _random_entry(rng, p, denominators):
+    """A random p-adic number u * p^k / d with u small, or zero."""
+    if rng.random() < 0.2:
+        return Fraction(0)
+    return Fraction(rng.randrange(-6, 7) * p ** rng.randrange(0, 4), rng.choice(denominators))
+
+
+def _elimination_outputs(n, p, seed):
+    """triangularize's C, D and B on integral square matrices, full-rank and
+    rank-deficient, and saturate_coords on vector lists with zero and
+    dependent vectors and up to n + 2 of them, as strings."""
+    rng = random.Random(seed * 1000 + n * 10 + p)
+    ctx = PAdicContext(p)
+    # denominators prime to p keep the triangularize inputs integral
+    units = [1, 1, 7 if p != 7 else 11]
+    out = []
+    for k in (n, n, n - 1, 1):
+        x = [[_random_entry(rng, p, units) for _ in range(k)] for _ in range(n)]
+        y = [[_random_entry(rng, p, units) for _ in range(n)] for _ in range(k)]
+        res = triangularize(ctx, linalg.matmul(x, y) if k < n else x)
+        out.append([[[str(e) for e in row] for row in m] for m in (res.C, res.D, res.B)])
+    std = LatticeBasis.standard(ctx, n)
+    for count in (0, 1, n - 1, n, n + 1, n + 2):
+        vecs = []
+        for _ in range(count):
+            r = rng.random()
+            if r < 0.15:
+                vecs.append([0] * n)
+            elif r < 0.35 and vecs:
+                a, b = rng.choice(vecs), rng.choice(vecs)
+                c = Fraction(rng.randrange(-4, 5), p ** rng.randrange(0, 3))
+                vecs.append([s + c * t for s, t in zip(a, b)])
+            else:
+                vecs.append([_random_entry(rng, p, [1, p, p**2, 3 * p]) for _ in range(n)])
+        out.append([[str(e) for e in col] for col in saturate_coords(std, vecs).columns])
+    return out
+
+
+# elimination_digest() with the src of commit 3f16823, whose triangularize
+# tracked C directly and whose saturate_coords ran its own elimination loop
+RECORDED_ELIMINATION_DIGEST = "13c90f4256253a332cc55de92f2b607f5ad03ff852a13e3b47e1a0017b58ef76"
+
+
+def elimination_digest():
+    """sha256 of the triangularize and saturate_coords outputs over
+    n = 2..5, p = 2, 3, 5 and seeds 1..3."""
+    cells = [(n, p, seed) for n in (2, 3, 4, 5) for p in (2, 3, 5) for seed in (1, 2, 3)]
+    text = json.dumps([_elimination_outputs(*cell) for cell in cells])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_elimination_outputs_match_the_recorded_digest():
+    # C, D, B and the saturation bases depend on the pivot order and on how
+    # the row operations are tracked, so they must not change
+    assert elimination_digest() == RECORDED_ELIMINATION_DIGEST

@@ -120,7 +120,7 @@ def test_empty_and_singular_inputs_match_fraction_elimination():
 @settings(deadline=None, max_examples=150)
 @given(matrices(), st.data())
 def test_solve_columns_matches_fraction_elimination(a, data):
-    cols = linalg.rows_to_columns(a)
+    cols = linalg.transpose(a)
     if not a or not cols:
         return
     e = entries(3)
