@@ -60,7 +60,6 @@ from .lattices import (
     invariant_exponents,
     is_split,
     same_submodule,
-    saturate,
     saturate_coords,
     transform_dual_form,
     triangularize,

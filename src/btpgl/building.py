@@ -374,9 +374,10 @@ def bfs_dist(
     other_frontier = [key.hnf for key in other_seen]
     if seen & other_seen:
         return 0
-    transforms = _neighbor_transforms(reference.dim, p)
     depth = 0
     while frontier and other_frontier and depth < radius_cap:
+        if not depth:
+            transforms = _neighbor_transforms(reference.dim, p)
         depth += 1
         if len(other_frontier) < len(frontier):
             seen, frontier, other_seen, other_frontier = other_seen, other_frontier, seen, frontier

@@ -132,11 +132,12 @@ def cmd_verify(args) -> int:
             max_lhs = max(max_lhs, report.lhs)
             if agree and args.oracle in ("bfs", "both"):
                 fam = cycles.vertex_family(sample.config)
-                keys = cycles.family_window_keys(sample.config.ambient, fam)
+                ambient = sample.config.ambient
                 try:
-                    found = building.bfs_dist(
-                        sample.config.ambient, sample.config.ambient, keys, radius_cap=report.rhs
-                    )
+                    size = cycles.family_window_size(ambient, fam)
+                    building._check_search_size(args.n, args.p, report.rhs, size)
+                    keys = cycles.family_window_keys(ambient, fam)
+                    found = building.bfs_dist(ambient, ambient, keys, radius_cap=report.rhs)
                 except EnumerationTooLarge:
                     # the search may exceed the cap: the formula stands unchecked
                     bfs_skipped += 1

@@ -43,7 +43,6 @@ from .lattices import (
     intersect_spans,
     is_split,
     same_submodule,
-    saturate,
     saturate_coords,
 )
 from .padic import PAdicContext
@@ -264,12 +263,11 @@ def analyze(cfg: CycleConfiguration) -> CycleAnalysis:
     c = cfg.codim_sum()
     p = cfg.ambient.ctx.p
     generic = intersect_spans(cfg.ambient, cfg.submodules)
-    special = None
-    for s in cfg.submodules:
-        rows = linalg.echelon_mod_p(s.reduction(), p)[0]
-        special = rows if special is None else linalg.intersect_mod_p(special, rows, p)
-        if not special:
-            break
+    # the reduced echelon form of a subspace is unique, so the raw reductions
+    # need no echelon of their own: each fold step returns that form
+    special = cfg.submodules[0].reduction()
+    for s in cfg.submodules[1:]:
+        special = linalg.intersect_mod_p(special, s.reduction(), p)
     generic_dim, special_dim = generic.rank, len(special)
     r0 = max(n - c, 0)
     if c > n:
@@ -385,6 +383,15 @@ def family_window_keys(reference: LatticeBasis, family: VertexFamily):
     b0 = dist(reference, zero)
     window = (kvec for spread in range(2 * b0 + 1) for kvec in _tuples_with_spread(m - 1, spread))
     return block_scaled_keys(reference, zero, [g.rank for g in family.generators], window)
+
+
+def family_window_size(reference: LatticeBasis, family: VertexFamily) -> int:
+    """Number of keys :func:`family_window_keys` returns, without building
+    them: with S = 2*B0, the window's m-tuples shifted to minimum 0 are the
+    tuples in [0, S]^m that meet 0, and distinct tuples are distinct classes."""
+    m = len(family.generators)
+    s = 2 * dist(reference, family.member_lattice((0,) * m))
+    return (s + 1) ** m - s**m
 
 
 def realized_forms(cfg: CycleConfiguration):
@@ -541,7 +548,7 @@ def _random_split(rng: random.Random, ambient: LatticeBasis, rank: int, max_val:
             [_random_scalar(rng, ctx.p, max_val) for _ in range(ambient.dim)]
             for _ in range(rank)
         ]
-        sat = saturate(ambient, vecs)
+        sat = saturate_coords(ambient, vecs)
         if sat.rank == rank:
             return sat
 

@@ -296,10 +296,7 @@ def is_split(sub: SplitSubmodule) -> bool:
 
     Equivalently, the ambient lattice modulo the submodule is torsion free.
     """
-    if sub.rank == 0:
-        return True
-    rows = linalg.transpose(sub.reduction())
-    return linalg.rank_mod_p(rows, sub.ambient.ctx.p) == sub.rank
+    return len(linalg.echelon_mod_p(sub.reduction(), sub.ambient.ctx.p)[1]) == sub.rank
 
 
 def saturate_coords(ambient: LatticeBasis, kvectors) -> SplitSubmodule:
@@ -315,17 +312,6 @@ def saturate_coords(ambient: LatticeBasis, kvectors) -> SplitSubmodule:
     p_cols = linalg.identity(n)
     r = len(_eliminate(ctx, u, p_cols)[1])
     return SplitSubmodule(ambient, tuple(tuple(c) for c in p_cols[:r]))
-
-
-def saturate(ambient: LatticeBasis, vectors) -> SplitSubmodule:
-    """Split submodule (K-span of the vectors) intersected with the lattice.
-
-    Vectors are given in the standard coordinates of K^n; dependent inputs
-    are reduced to an independent spanning set first.  Idempotent.
-    """
-    inv_rows = ambient.inverse_rows()
-    coords = [linalg.matvec(inv_rows, [Fraction(x) for x in v]) for v in vectors]
-    return saturate_coords(ambient, coords)
 
 
 def intersect_spans(ambient: LatticeBasis, submodules) -> SplitSubmodule:
@@ -359,46 +345,21 @@ def intersect_spans(ambient: LatticeBasis, submodules) -> SplitSubmodule:
     return saturate_coords(ambient, cur)
 
 
-class _EchelonModP:
-    """Incremental row echelon basis over F_p."""
-
-    def __init__(self, p: int, width: int):
-        self.p = p
-        self.width = width
-        self.rows = []
-        self.pivots = []
-
-    def add(self, vec) -> bool:
-        """Extend the basis by vec; False when vec already lies in its span."""
-        v = [x % self.p for x in vec]
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                f = v[piv]
-                v = [(x - f * y) % self.p for x, y in zip(v, row)]
-        for j in range(self.width):
-            if v[j]:
-                f = pow(v[j], -1, self.p)
-                v = [x * f % self.p for x in v]
-                self.rows.append(v)
-                self.pivots.append(j)
-                return True
-        return False
-
-
 def complete_to_complement(outer: SplitSubmodule, inner: SplitSubmodule) -> SplitSubmodule:
     """Direct-sum complement of a split inner submodule inside an outer one.
 
-    Extends a basis of the inner module to a basis of the outer one by
-    greedily adding outer basis vectors whose reductions extend the reduced
-    span, in index order; the added vectors form the complement.  The greedy
-    choice makes the output deterministic.
+    The complement is the outer basis vectors e_j, in index order, that a
+    greedy extension of the inner module's reduced span W would add: e_j
+    joins iff it is not in W + span(e_i : i < j) (a skipped e_i is already
+    in the span), iff no w in W has its last nonzero entry at j.  Reversed,
+    last nonzero entries are first ones, and the first nonzero positions in
+    a subspace are the pivots of its reduced echelon form; so the complement
+    is the non-pivot positions of the reversed coordinate rows.  The inner
+    module is split inside the outer one iff the pivots number its rank.
     """
     if outer.ambient != inner.ambient:
         raise ValueError("submodules must share the ambient lattice")
     ctx = outer.ambient.ctx
-    s, r = outer.rank, inner.rank
-    if r == 0:
-        return SplitSubmodule(outer.ambient, outer.columns)
     coords = []
     for col in inner.columns:
         x = linalg.solve_columns([list(c) for c in outer.columns], list(col))
@@ -408,19 +369,11 @@ def complete_to_complement(outer: SplitSubmodule, inner: SplitSubmodule) -> Spli
             if not ctx.is_integral(entry):
                 raise NotSplitInside("inner submodule is not contained in the outer module")
         coords.append([ctx.residue(entry) for entry in x])
-    ech = _EchelonModP(ctx.p, s)
-    for v in coords:
-        ech.add(v)
-    if len(ech.rows) != r:
+    pivots = linalg.echelon_mod_p([v[::-1] for v in coords], ctx.p)[1]
+    if len(pivots) != inner.rank:
         raise NotSplitInside("inner submodule is not split inside the outer one")
-    chosen = []
-    for j in range(s):
-        if len(chosen) + r == s:
-            break
-        e_j = [1 if i == j else 0 for i in range(s)]
-        if ech.add(e_j):
-            chosen.append(j)
-    return SplitSubmodule(outer.ambient, tuple(outer.columns[j] for j in chosen))
+    kept = [c for i, c in enumerate(reversed(outer.columns)) if i not in pivots]
+    return SplitSubmodule(outer.ambient, tuple(reversed(kept)))
 
 
 def same_submodule(a: SplitSubmodule, b: SplitSubmodule) -> bool:

@@ -207,20 +207,17 @@ def echelon_mod_p(rows, p):
     return a[:r], pivots
 
 
-def rank_mod_p(rows, p) -> int:
-    return len(echelon_mod_p(rows, p)[0])
-
-
 def intersect_mod_p(a_rows, b_rows, p):
-    """Basis of span(a) intersected with span(b) over F_p (Zassenhaus block trick)."""
+    """Reduced row echelon basis of span(a) intersected with span(b) over F_p.
+
+    Zassenhaus block trick.  In the reduced echelon form of [a | a ; b | 0],
+    the rows with zero left half (pivot at or past n) span the intersection
+    on their right halves, which are already in reduced echelon form.
+    """
     if not a_rows or not b_rows:
         return []
     n = len(a_rows[0])
     block = [list(r) + list(r) for r in a_rows]
     block += [list(r) + [0] * n for r in b_rows]
-    ech, _ = echelon_mod_p(block, p)
-    out = []
-    for row in ech:
-        if all(x == 0 for x in row[:n]) and any(row[n:]):
-            out.append(row[n:])
-    return echelon_mod_p(out, p)[0] if out else []
+    ech, pivots = echelon_mod_p(block, p)
+    return [row[n:] for row, c in zip(ech, pivots) if c >= n]

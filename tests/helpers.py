@@ -488,3 +488,49 @@ def fraction_span_fold(ambient: LatticeBasis, submodules):
             for vec in null
         ]
     return cur
+
+
+def greedy_complement(outer: SplitSubmodule, inner: SplitSubmodule):
+    """Indices j of the outer basis vectors that extend the inner module's
+    reduced span, added greedily in index order with an incremental echelon
+    basis over F_p, or None when the inner module is not split inside the
+    outer one.  The oracle for the pivot reading in
+    :func:`btpgl.lattices.complete_to_complement`."""
+    ctx = outer.ambient.ctx
+    p, s = ctx.p, outer.rank
+    rows, pivots = [], []
+
+    def add(vec) -> bool:
+        v = [x % p for x in vec]
+        for row, piv in zip(rows, pivots):
+            if v[piv]:
+                f = v[piv]
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        for j in range(s):
+            if v[j]:
+                f = pow(v[j], -1, p)
+                rows.append([x * f % p for x in v])
+                pivots.append(j)
+                return True
+        return False
+
+    for col in inner.columns:
+        x = linalg.solve_columns([list(c) for c in outer.columns], list(col))
+        if x is None or not all(ctx.is_integral(e) for e in x):
+            return None
+        add([ctx.residue(e) for e in x])
+    if len(rows) != inner.rank:
+        return None
+    return [j for j in range(s) if add([1 if i == j else 0 for i in range(s)])]
+
+
+def echeloned_special_fold(cfg: CycleConfiguration):
+    """The common F_p-intersection of the cycles' reductions, folded with a
+    reduced echelon form of each reduction taken first: the oracle for the
+    raw fold in :func:`btpgl.cycles.analyze`."""
+    p = cfg.ambient.ctx.p
+    special = None
+    for s in cfg.submodules:
+        rows = linalg.echelon_mod_p(s.reduction(), p)[0]
+        special = rows if special is None else linalg.intersect_mod_p(special, rows, p)
+    return tuple(tuple(r) for r in special)

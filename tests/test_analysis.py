@@ -36,7 +36,8 @@ def test_verify_is_one_pass(monkeypatch):
     report = cycles.verify_intersection_identity(cfg)
     assert report.agree
     # one fold for L0 and one per partial intersection L_j; one mod-p
-    # echelon per cycle and two per pairwise F_p-intersection
+    # echelon per F_p-intersection of the fold and one per cycle completed
+    # to a basis (9 here)
     assert counts["classify"] == 1
     assert counts["intersect_spans"] <= 6
     assert counts["echelon_mod_p"] <= 13

@@ -302,6 +302,18 @@ def test_bfs_rejects_negative_radius():
         bfs_dist(std, std, {class_key(std, std)}, -1)
 
 
+def test_bfs_dist_radius_zero_expands_nothing():
+    # at (2, 1000003) a class has 1000004 neighbours, more than the cap, but
+    # a search to radius 0 builds none of them
+    ctx = PAdicContext(1000003)
+    std = LatticeBasis.standard(ctx, 2)
+    other = LatticeBasis.diagonal(ctx, [1, 1000003])
+    assert bfs_dist(std, std, {class_key(std, other)}, 0) is None
+    assert bfs_dist(std, other, {class_key(std, other)}, 0) == 0
+    with pytest.raises(EnumerationTooLarge):
+        bfs_dist(std, std, {class_key(std, other)}, 1)
+
+
 def search_key_bound(n, p, radius, ntargets):
     """1 + t + deg * sum_{s<r} max_{a+b=s} min(D(a), t*D(b)): the class keys a
     search from both ends can compute, D(0) = 1, D(k) = deg*(deg-1)^(k-1)."""

@@ -143,6 +143,20 @@ def test_verify_skips_bfs_checks_beyond_the_cap(capsys, monkeypatch):
     assert (out["bfs_checked"], out["bfs_skipped"]) == (2, 1)
 
 
+def test_verify_checks_the_search_bound_before_building_targets(capsys, monkeypatch):
+    # seed 9 at (5,3) has a window of 61,051 target classes, too many to
+    # search from: the check is skipped before any target key is built
+    def no_keys(*args):
+        raise AssertionError("family_window_keys called for a skipped check")
+
+    monkeypatch.setattr(cycles, "family_window_keys", no_keys)
+    argv = ["verify", "--n", "5", "--p", "3", "--seed", "9", "--trials", "1", "--oracle", "both"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["agreements"] == 1
+    assert (out["bfs_checked"], out["bfs_skipped"]) == (0, 1)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,18 +5,20 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from btpgl import linalg
+from btpgl import cycles, linalg
 from btpgl.building import bfs_dist, class_key, dist
 from btpgl.cycles import (
     MODES,
     CycleConfiguration,
     Properness,
     VertexFamily,
+    analyze,
     apartment_distance_report,
     apartment_lines,
     decompose_intersection,
     distance_to_family,
     family_window_keys,
+    family_window_size,
     higherdim_vertex_family,
     hyperplane_kernel,
     intersect_hyperplanes,
@@ -44,9 +46,11 @@ from btpgl.padic import PAdicContext
 
 from helpers import (
     apply_automorphism,
+    echeloned_special_fold,
     evaluate_coords,
     family_profile,
     member_window_keys,
+    random_lattice,
     random_unimodular,
     rebase,
     right_multiply,
@@ -532,6 +536,20 @@ def test_family_window_keys_match_member_keys(n, p, mode, seed, reference):
     assert family_window_keys(lattice, fam) == member_window_keys(lattice, fam)
 
 
+def test_family_window_size_counts_the_window_keys():
+    # (2*B0 + 1)^m - (2*B0)^m window members, one class each, known before
+    # any key is built
+    for n in (2, 3, 4):
+        for p in (2, 3):
+            for seed in range(4):
+                for mode in ("hyperplanes", "submodules"):
+                    d = n if mode == "hyperplanes" else 2
+                    sample = random_instance(seed=seed, n=n, p=p, d=d, max_val=2, mode=mode)
+                    fam = _family_of(sample)
+                    ambient = sample.config.ambient
+                    assert family_window_size(ambient, fam) == len(family_window_keys(ambient, fam))
+
+
 def test_closed_form_seeded_sweep():
     # larger cases than the property test: n=5 in every mode and higherdim
     # with three cycles; the seeds give a positive distance from the ambient
@@ -585,6 +603,29 @@ def test_special_component_dimension_on_random_instances():
                 assert len(dec.special_component) == rep.r0 + 1
             else:
                 assert len(dec.special_component) == rep.r0
+
+
+def test_special_fold_of_raw_reductions_matches_echeloned_fold():
+    # the reduced echelon form of a subspace is unique, so folding the raw
+    # reductions gives the same special intersection as echeloning each
+    # cycle's reduction first, on raw draws of every properness kind
+    rng = random.Random(31)
+    kinds = set()
+    for trial in range(240):
+        p = rng.choice([2, 3, 5])
+        ctx = PAdicContext(p)
+        n = rng.randrange(2, 6)
+        ambient = std(ctx, n) if trial % 2 else random_lattice(rng, ctx, n, 3)
+        subs = [
+            cycles._random_split(rng, ambient, rng.randrange(1, n), rng.randrange(0, 4))
+            for _ in range(rng.randrange(2, n + 2))
+        ]
+        cfg = CycleConfiguration(ambient, subs)
+        analysis = analyze(cfg)
+        assert analysis.special == echeloned_special_fold(cfg)
+        assert analysis.properness.special_dim == len(analysis.special)
+        kinds.add(analysis.properness.kind)
+    assert kinds == set(Properness)
 
 
 def test_cycle_configuration_validation():

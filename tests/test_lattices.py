@@ -16,7 +16,6 @@ from btpgl.lattices import (
     invariant_exponents,
     is_split,
     same_submodule,
-    saturate,
     saturate_coords,
     transform_dual_form,
     triangularize,
@@ -26,6 +25,7 @@ from btpgl.padic import INFINITY, PAdicContext
 from helpers import (
     evaluate_coords,
     fraction_span_fold,
+    greedy_complement,
     random_lattice,
     random_unimodular,
     right_multiply,
@@ -184,13 +184,13 @@ def test_submodule_rejects_non_integral_coords():
 
 def test_saturate_examples():
     std = LatticeBasis.standard(ctx5, 2)
-    sat = saturate(std, [(5, 0)])
+    sat = saturate_coords(std, [(5, 0)])
     assert sat.columns == ((1, 0),)
-    full = saturate(LatticeBasis.standard(ctx3, 2), [(1, 0), (0, 2), (1, 1)])
+    full = saturate_coords(LatticeBasis.standard(ctx3, 2), [(1, 0), (0, 2), (1, 1)])
     assert full.rank == 2
 
     std3 = LatticeBasis.standard(ctx2, 3)
-    sat = saturate(std3, [(1, 1, 0), (1, 1, 2)])
+    sat = saturate_coords(std3, [(1, 1, 0), (1, 1, 2)])
     assert sat.rank == 2
     assert is_split(sat)
     # saturation contains (0,0,1) = ((1,1,2)-(1,1,0))/2
@@ -213,9 +213,9 @@ def test_saturate_is_idempotent_and_split():
             ]
             if all(not any(v) for v in vecs):
                 continue
-            sat = saturate(std, vecs)
+            sat = saturate_coords(std, vecs)
             assert is_split(sat)
-            again = saturate(std, sat.standard_columns())
+            again = saturate_coords(std, sat.columns)
             assert same_submodule(sat, again)
 
 
@@ -287,7 +287,7 @@ def test_complete_to_complement_direct_sum_oracle():
             vecs = [[rng.randrange(-6, 7) for _ in range(3)] for _ in range(rng.randrange(1, 3))]
             if all(not any(v) for v in vecs):
                 continue
-            inner = saturate(std, vecs)
+            inner = saturate_coords(std, vecs)
             comp = complete_to_complement(full, inner)
             cols = tuple(inner.columns) + tuple(comp.columns)
             recombined = LatticeBasis(ctx, [list(c) for c in cols])
@@ -304,6 +304,44 @@ def test_complete_to_complement_rejects_non_split_inner():
     narrow = SplitSubmodule(std, [(1, 0)])
     with pytest.raises(NotSplitInside):
         complete_to_complement(narrow, outside)
+
+
+def test_complete_to_complement_matches_greedy_oracle():
+    # the pivots of the column-reversed reduced coordinates give the same
+    # complement as greedily extending an incremental echelon basis, inside
+    # the whole lattice and inside random split outers, at standard and
+    # non-standard ambients, and reject the same inners
+    rng = random.Random(21)
+    outcomes = {"complement": 0, "rejected": 0}
+    for trial in range(160):
+        p = rng.choice([2, 3, 5])
+        ctx = PAdicContext(p)
+        n = rng.randrange(2, 6)
+        ambient = LatticeBasis.standard(ctx, n) if trial % 2 else random_lattice(rng, ctx, n, 3)
+        s = rng.randrange(1, n + 1)
+        if s < n:
+            outer = cycles._random_split(rng, ambient, s, 3)
+        else:
+            # the whole lattice in its own basis, as realized_forms completes
+            outer = SplitSubmodule(ambient, [[int(i == j) for i in range(n)] for j in range(n)])
+        coeffs = [[rng.randrange(-3, 4) for _ in range(s)] for _ in range(rng.randrange(1, s + 1))]
+        vecs = [[sum(a * c[i] for a, c in zip(cf, outer.columns)) for i in range(n)] for cf in coeffs]
+        inner = saturate_coords(ambient, vecs)
+        if inner.rank and trial % 3 == 0:
+            # p times a column is not split inside the outer module
+            inner = SplitSubmodule(ambient, ([p * x for x in inner.columns[0]],) + inner.columns[1:])
+        elif trial % 3 == 1:
+            # a random line, usually outside the outer span
+            inner = cycles._random_split(rng, ambient, 1, 3)
+        expected = greedy_complement(outer, inner)
+        outcomes["rejected" if expected is None else "complement"] += 1
+        if expected is None:
+            with pytest.raises(NotSplitInside):
+                complete_to_complement(outer, inner)
+        else:
+            comp = complete_to_complement(outer, inner)
+            assert comp.columns == tuple(outer.columns[j] for j in expected)
+    assert min(outcomes.values()) >= 40
 
 
 def test_dual_form_validation():

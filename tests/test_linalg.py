@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,31 @@ def test_intersect_mod_p():
     inter = linalg.intersect_mod_p(a, b, 5)
     assert inter == [[0, 1, 0]]
     assert linalg.intersect_mod_p([[1, 0]], [[0, 1]], 2) == []
+
+
+def _span_mod_p(rows, p, n):
+    return {
+        tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % p for i in range(n))
+        for coeffs in product(range(p), repeat=len(rows))
+    }
+
+
+def test_intersect_mod_p_matches_enumerated_spans():
+    # one echelon: the output spans the enumerated intersection and is
+    # already its reduced echelon form
+    rng = random.Random(11)
+    for _ in range(300):
+        p = rng.choice([2, 3])
+        n = rng.randrange(1, 5)
+        a, b = (
+            [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(rng.randrange(0, n + 1))]
+            for _ in range(2)
+        )
+        if a and b and rng.random() < 0.5:
+            b.append([x + 2 * y for x, y in zip(a[0], a[-1])])
+        inter = linalg.intersect_mod_p(a, b, p)
+        assert _span_mod_p(inter, p, n) == _span_mod_p(a, p, n) & _span_mod_p(b, p, n)
+        assert linalg.echelon_mod_p(inter, p)[0] == inter
 
 
 def same(x, y) -> bool:
