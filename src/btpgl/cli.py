@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 
@@ -19,7 +20,7 @@ from .errors import (
     ImproperGenericIntersection,
     SchemaError,
 )
-from .lattices import LatticeBasis
+from .lattices import LatticeBasis, SplitSubmodule
 from .padic import PAdicContext
 
 EXIT_OK = 0
@@ -96,12 +97,26 @@ def cmd_dist(args) -> int:
     return EXIT_OK
 
 
+def _shifted_complements(cfg, rng):
+    """Other complements of L0 in the L_j, on which the multiplicity must not
+    change: each column of a default complement plus a seeded nonzero
+    integer combination of L0's columns."""
+    *comps, l0 = cycles.higherdim_vertex_family(cfg).generators
+
+    def shift(col):
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in l0.columns]
+        return [x + sum(a * v[i] for a, v in zip(coeffs, l0.columns)) for i, x in enumerate(col)]
+
+    return [SplitSubmodule(cfg.ambient, [shift(c) for c in comp.columns]) for comp in comps]
+
+
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
+    if args.mode == "higherdim" and args.oracle != "formula":
+        raise ValueError("--mode higherdim has no BFS oracle yet; use --oracle formula")
     d = args.d if args.d is not None else (args.n if args.mode == "hyperplanes" else 2)
     start = time.perf_counter()
-    agreements = 0
     rejections = 0
     bfs_checked = 0
     bfs_skipped = 0
@@ -109,21 +124,13 @@ def cmd_verify(args) -> int:
     failed_seeds = []
     failure = None
     for trial in range(args.trials):
-        sample = cycles.random_instance(
-            seed=args.seed + trial,
-            n=args.n,
-            p=args.p,
-            d=d,
-            max_val=args.max_val,
-            mode=args.mode,
-        )
+        seed = args.seed + trial
+        sample = cycles.random_instance(seed, args.n, args.p, d, args.max_val, args.mode)
         rejections += sample.rejections
         if args.mode == "higherdim":
             dec = cycles.decompose_intersection(sample.config)
-            permuted = cycles.CycleConfiguration(
-                sample.config.ambient, tuple(reversed(sample.config.submodules))
-            )
-            retry = cycles.decompose_intersection(permuted)
+            shifted = _shifted_complements(sample.config, random.Random(seed))
+            retry = cycles.decompose_intersection(sample.config, complements=shifted)
             agree = retry.special_multiplicity == dec.special_multiplicity
             max_lhs = max(max_lhs, dec.special_multiplicity)
         else:
@@ -144,19 +151,16 @@ def cmd_verify(args) -> int:
                 else:
                     bfs_checked += 1
                     agree = found == report.rhs
-        if agree:
-            agreements += 1
-        else:
-            failed_seeds.append(args.seed + trial)
+        if not agree:
+            failed_seeds.append(seed)
             failure = failure or (trial, sample)
-    wall = time.perf_counter() - start
     summary = {
         "trials": args.trials,
-        "agreements": agreements,
+        "agreements": args.trials - len(failed_seeds),
         "rejections": rejections,
         "max_lhs": max_lhs,
         "failed_seeds": failed_seeds,
-        "wall_time": round(wall, 3),
+        "wall_time": round(time.perf_counter() - start, 3),
     }
     if args.oracle in ("bfs", "both"):
         summary["bfs_checked"] = bfs_checked

@@ -78,7 +78,7 @@ class CycleAnalysis:
     generic is L0, the saturation of the common K-intersection of the spans;
     special is the reduced echelon basis of the common F_p-intersection of
     the reductions; properness classifies the two.  The partial
-    intersections L_j are folded on first use.  It holds the cycles, not
+    intersections L_j are computed on first use.  It holds the cycles, not
     the configuration that keeps it, so the two form no reference cycle.
     """
 
@@ -148,18 +148,15 @@ class VertexFamily:
         gens = tuple(generators)
         if not gens:
             raise ValueError("family needs at least one generator")
-        n = ambient.dim
-        cols = []
-        for g in gens:
-            if g.ambient != ambient:
-                raise ValueError("generators must share the ambient lattice")
-            cols.extend(list(c) for c in g.columns)
-        if len(cols) != n:
+        if any(g.ambient != ambient for g in gens):
+            raise ValueError("generators must share the ambient lattice")
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "generators", gens)
+        cols = self.concatenated_columns()
+        if len(cols) != ambient.dim:
             raise ValueError("generator ranks must sum to the dimension")
         if linalg.det(linalg.transpose(cols)) == 0:
             raise ValueError("generator spans are not independent")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "generators", gens)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexFamily is immutable")
@@ -222,8 +219,7 @@ class InstanceSample:
 
 def hyperplane_kernel(form: DualForm) -> SplitSubmodule:
     """The split rank n-1 submodule on which a primitive form vanishes."""
-    null = linalg.nullspace([list(form.coefficients)])
-    return saturate_coords(form.ambient, null)
+    return saturate_coords(form.ambient, linalg.nullspace([form.coefficients]))
 
 
 def intersect_hyperplanes(forms) -> int:
@@ -246,7 +242,7 @@ def intersect_hyperplanes(forms) -> int:
 
 
 def analyze(cfg: CycleConfiguration) -> CycleAnalysis:
-    """Fold the spans and the reductions once and classify properness.
+    """Intersect the spans and fold the reductions once; classify properness.
 
     With c the sum of the codimensions: for c = n the cycles meet properly
     exactly when the K-spans meet in 0 and the reductions meet in dimension
@@ -397,20 +393,22 @@ def family_window_size(reference: LatticeBasis, family: VertexFamily) -> int:
 def realized_forms(cfg: CycleConfiguration):
     """Primitive forms cutting out each cycle as an intersection of hyperplanes.
 
-    For each cycle the basis is completed to a basis of the lattice and the
-    dual vectors of the completion are taken; the determinant valuation of the
-    assembled matrix does not depend on the choice of completion.
+    For a cycle N of rank r they are a basis of Phi, the integral forms that
+    vanish on N: the saturation of the nullspace of N's columns taken as rows,
+    so each is primitive.  The determinant valuation of the assembled matrix
+    does not depend on that basis.  Complete N's basis to a basis u_1..u_n of
+    the lattice (N is split), with dual basis u^1..u^n.  A form f in Phi is
+    sum_i f(u_i) u^i with f(u_i) = 0 for i <= r and f(u_i) in R, so
+    u^{r+1}..u^n is a basis of Phi.  Two bases of Phi thus differ by a matrix
+    in GL_{n-r}(R), and changing one cycle's block multiplies the determinant
+    by a unit.
     """
     ambient = cfg.ambient
     n = ambient.dim
-    full = SplitSubmodule(ambient, [[1 if i == j else 0 for i in range(n)] for j in range(n)])
     forms = []
     for s in cfg.submodules:
-        comp = complete_to_complement(full, s)
-        u_cols = [list(c) for c in s.columns] + [list(c) for c in comp.columns]
-        u_inv = linalg.inv(linalg.transpose(u_cols))
-        for pos in range(s.rank, n):
-            forms.append(DualForm(ambient, tuple(u_inv[pos])))
+        phi = saturate_coords(ambient, linalg.nullspace(s.columns, n))
+        forms.extend(DualForm(ambient, c) for c in phi.columns)
     return forms
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import (
@@ -315,34 +314,22 @@ def saturate_coords(ambient: LatticeBasis, kvectors) -> SplitSubmodule:
 
 
 def intersect_spans(ambient: LatticeBasis, submodules) -> SplitSubmodule:
-    """Saturation in the lattice of the intersection of the K-spans.
-
-    A rank-0 result (transverse spans) is returned as an empty submodule.
+    """Saturation in the lattice of the intersection of the K-spans: the
+    kernel of the forms vanishing on each span (the nullspace of its columns
+    taken as rows), stacked.  The kernel is read off the reduced echelon form
+    of the stacked rows, which only the K-spans fix, so neither the order of
+    the submodules nor their bases matter.  Rank 0 gives an empty submodule.
     """
     subs = list(submodules)
     if not subs:
         raise ValueError("need at least one submodule")
+    n = ambient.dim
+    forms = []
     for s in subs:
         if s.ambient != ambient:
             raise ValueError("submodules must share the ambient lattice")
-    cur = [list(c) for c in subs[0].columns]
-    n = ambient.dim
-    for sub in subs[1:]:
-        nxt = [list(c) for c in sub.columns]
-        if not cur or not nxt:
-            cur = []
-            break
-        r1 = len(cur)
-        rows = [[cur[j][i] for j in range(r1)] + [-nxt[j][i] for j in range(len(nxt))] for i in range(n)]
-        null = linalg.nullspace(rows)
-        # recombine in integers: cur = cur_z / d and vec = vec_z / e
-        d = lcm(*(x.denominator for c in cur for x in c))
-        cur_z = [[x.numerator * (d // x.denominator) for x in c] for c in cur]
-        cur = []
-        for vec in null:
-            e, vec_z = linalg._scaled_row(vec[:r1])
-            cur.append([Fraction(sum(a * c[i] for a, c in zip(vec_z, cur_z)), d * e) for i in range(n)])
-    return saturate_coords(ambient, cur)
+        forms.extend(linalg.nullspace(s.columns, n))
+    return saturate_coords(ambient, linalg.nullspace(forms, n))
 
 
 def complete_to_complement(outer: SplitSubmodule, inner: SplitSubmodule) -> SplitSubmodule:

@@ -144,10 +144,11 @@ def rank(a) -> int:
     return len(_int_rref(rows, len(rows[0]) if rows else 0))
 
 
-def nullspace(a):
-    """Basis of the right kernel of a (rows x cols), as length-cols vectors."""
+def nullspace(a, cols=None):
+    """Basis of the right kernel of a (rows x cols), as length-cols vectors.
+    With no rows the kernel is K^cols, so cols must then be given."""
     rows = [_scaled_row(row)[1] for row in a]
-    cols = len(rows[0]) if rows else 0
+    cols = len(rows[0]) if rows else cols or 0
     pivots = _int_rref(rows, cols)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):

@@ -58,14 +58,21 @@ def parse_vector(data, field: str):
     return [parse_scalar(x, f"{field}[{j}]") for j, x in enumerate(data)]
 
 
-def _parse_context(data) -> PAdicContext:
+def _parse_header(data):
+    """(ctx, n) of an instance object."""
+    if not isinstance(data, dict):
+        raise SchemaError("$", "expected a JSON object")
     p = data.get("p")
     if not isinstance(p, int):
         raise SchemaError("p", "expected an integer prime")
     try:
-        return PAdicContext(p)
+        ctx = PAdicContext(p)
     except ValueError as exc:
         raise SchemaError("p", str(exc)) from None
+    n = data.get("n")
+    if not isinstance(n, int) or n < 2:
+        raise SchemaError("n", "expected an integer >= 2")
+    return ctx, n
 
 
 def _parse_lattice(ctx: PAdicContext, data, n: int, field: str) -> LatticeBasis:
@@ -91,9 +98,7 @@ def instance_to_json(p: int, lattice: LatticeBasis, cycles) -> dict:
                 {"kind": "hyperplane", "coefficients": [scalar_to_str(x) for x in c.coefficients]}
             )
         else:
-            out_cycles.append(
-                {"kind": "submodule", "columns": [[scalar_to_str(x) for x in col] for col in c.columns]}
-            )
+            out_cycles.append({"kind": "submodule", "columns": matrix_to_json(c.columns)})
     return {"p": p, "n": lattice.dim, "lattice_M": lattice_to_json(lattice), "cycles": out_cycles}
 
 
@@ -103,12 +108,7 @@ def parse_instance(data: dict):
     forms is the tuple of DualForms when every cycle was given as a
     hyperplane, else None.
     """
-    if not isinstance(data, dict):
-        raise SchemaError("$", "expected a JSON object")
-    ctx = _parse_context(data)
-    n = data.get("n")
-    if not isinstance(n, int) or n < 2:
-        raise SchemaError("n", "expected an integer >= 2")
+    ctx, n = _parse_header(data)
     lattice = _parse_lattice(ctx, data.get("lattice_M"), n, "lattice_M")
     raw_cycles = data.get("cycles")
     if not isinstance(raw_cycles, list) or not raw_cycles:
@@ -154,12 +154,7 @@ def parse_instance(data: dict):
 
 def parse_lattice_pair(data: dict):
     """Parse a distance instance: {"p", "n", "lattice_M", "lattice_L"}."""
-    if not isinstance(data, dict):
-        raise SchemaError("$", "expected a JSON object")
-    ctx = _parse_context(data)
-    n = data.get("n")
-    if not isinstance(n, int) or n < 2:
-        raise SchemaError("n", "expected an integer >= 2")
+    ctx, n = _parse_header(data)
     first = _parse_lattice(ctx, data.get("lattice_M"), n, "lattice_M")
     second = _parse_lattice(ctx, data.get("lattice_L"), n, "lattice_L")
     return ctx, first, second
@@ -167,9 +162,7 @@ def parse_lattice_pair(data: dict):
 
 def decomposition_to_json(dec: CycleDecomposition) -> dict:
     return {
-        "generic_component": {
-            "columns": [[scalar_to_str(x) for x in col] for col in dec.generic_component.columns]
-        },
+        "generic_component": {"columns": matrix_to_json(dec.generic_component.columns)},
         "generic_multiplicity": dec.generic_multiplicity,
         "special_component": {"vectors_mod_p": [list(r) for r in dec.special_component]},
         "special_multiplicity": dec.special_multiplicity,

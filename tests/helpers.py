@@ -41,14 +41,15 @@ def sympy_invariant_exponents(rows, p):
 
 
 def random_unimodular(rng: random.Random, n: int, p: int, steps: int = 6):
-    """Random integer matrix, unimodular over the valuation ring."""
+    """Random integer matrix, unimodular over the valuation ring.  At n = 1
+    it is a unit: every step is a scaling."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps):
         i = rng.randrange(n)
         j = rng.randrange(n)
-        while j == i:
+        while j == i and n > 1:
             j = rng.randrange(n)
-        op = rng.randrange(3)
+        op = rng.randrange(3) if n > 1 else 2
         if op == 0:
             c = rng.randrange(-2, 3)
             m[i] = [x + c * y for x, y in zip(m[i], m[j])]
@@ -470,9 +471,9 @@ def fraction_solve_columns(cols, target):
 
 
 def fraction_span_fold(ambient: LatticeBasis, submodules):
-    """The vectors that :func:`btpgl.lattices.intersect_spans` passes to
-    saturate_coords, recombined in Fractions: the oracle for its integer
-    recombination."""
+    """K-basis of the intersection of the spans, folded in pairs with
+    Fraction nullspaces: an oracle for :func:`btpgl.lattices.intersect_spans`,
+    which takes the kernel of the stacked forms instead."""
     subs = list(submodules)
     cur = [list(c) for c in subs[0].columns]
     n = ambient.dim

@@ -4,6 +4,8 @@ and the properness classification are counted across whole operations."""
 import hashlib
 import json
 
+from sympy import Matrix, Rational
+
 from btpgl import cycles, lattices, linalg, serialize
 from btpgl.cli import main
 
@@ -35,12 +37,12 @@ def test_verify_is_one_pass(monkeypatch):
     counts = count_pass_calls(monkeypatch)
     report = cycles.verify_intersection_identity(cfg)
     assert report.agree
-    # one fold for L0 and one per partial intersection L_j; one mod-p
-    # echelon per F_p-intersection of the fold and one per cycle completed
-    # to a basis (9 here)
+    # one span intersection for L0 and one per partial intersection L_j;
+    # one mod-p echelon per F_p-intersection of the fold (4 here), and none
+    # for the realized forms, which are saturated kernels
     assert counts["classify"] == 1
     assert counts["intersect_spans"] <= 6
-    assert counts["echelon_mod_p"] <= 13
+    assert counts["echelon_mod_p"] <= 4
     # the family check of a campaign reads the same analysis
     cycles.vertex_family(cfg)
     assert counts["classify"] == 1
@@ -61,30 +63,50 @@ def test_cli_intersect_higherdim_is_one_pass(tmp_path, monkeypatch, capsys):
     assert counts["echelon_mod_p"] <= 10
 
 
+def _span_rref(vectors):
+    """Reduced row echelon form of the K-span of the vectors, as strings.
+    A split submodule is its K-span intersected with the lattice, and the
+    integral forms vanishing on a cycle are their K-span intersected with
+    the dual lattice, so this names the module whatever its basis."""
+    if not vectors:
+        return []
+    rref = Matrix([[Rational(x.numerator, x.denominator) for x in v] for v in vectors]).rref()[0]
+    return [[str(x) for x in rref.row(i)] for i in range(rref.rows) if any(rref.row(i))]
+
+
 def _instance_outputs(seed, n, p, mode):
-    """Every exact output of one seeded instance, as strings."""
+    """Every exact output of one seeded instance, as strings; modules and
+    sets of forms as the reduced echelon form of their K-span."""
     d = n if mode != "higherdim" else n - 1
     sample = cycles.random_instance(seed, n, p, d, max_val=3, mode=mode)
     cfg = sample.config
     analysis = cycles.analyze(cfg)
     out = [
         sample.rejections,
-        [[str(x) for x in c] for c in analysis.generic.columns],
+        _span_rref(analysis.generic.columns),
         [list(r) for r in analysis.special],
-        [[[str(x) for x in c] for c in lj.columns] for lj in analysis.partials],
+        [_span_rref(lj.columns) for lj in analysis.partials],
     ]
     if mode == "higherdim":
         family = cycles.higherdim_vertex_family(cfg)
         out.append(cycles.decompose_intersection(cfg).special_multiplicity)
     else:
         family = cycles.vertex_family(cfg)
-        out.append([[str(x) for x in f.coefficients] for f in cycles.realized_forms(cfg)])
+        forms = cycles.realized_forms(cfg)
+        start = 0
+        per_cycle = []
+        for s in cfg.submodules:
+            per_cycle.append(_span_rref([f.coefficients for f in forms[start : start + n - s.rank]]))
+            start += n - s.rank
+        out.append(per_cycle)
+        out.append(cycles.intersect_hyperplanes(forms))
     out.append(cycles.nearest_family_member(cfg.ambient, family))
     return out
 
 
-# outputs_digest() at commit 5aea513, whose linalg eliminated in Fractions
-RECORDED_DIGEST = "40b67b56a6b52e8ea3c3d3303e8ff51078b869a2f0598a9408745aa09d7f500c"
+# outputs_digest() at commit ab96ce2, whose intersect_spans folded the spans
+# in pairs and whose realized_forms completed each cycle to a basis
+RECORDED_DIGEST = "737c70bdb7f8895e12849f0af982c7c70d0dafaa8cd96c69ffa1ff9141228af7"
 
 
 def outputs_digest():
@@ -103,6 +125,7 @@ def outputs_digest():
 
 
 def test_exact_outputs_match_the_recorded_digest():
-    # L0, the special rows, the L_j, the realized forms and the nearest member
-    # do not depend on how linalg eliminates, so they must not change
+    # L0, the L_j and the realized forms as modules, the special rows, the
+    # intersection number and the nearest member do not depend on how the
+    # intersections are eliminated, so they must not change
     assert outputs_digest() == RECORDED_DIGEST

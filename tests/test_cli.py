@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -193,6 +194,60 @@ def test_verify_higherdim_campaign(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["agreements"] == 4
+
+
+def test_verify_higherdim_retries_on_other_complements(capsys, monkeypatch):
+    # the retry keeps the cycles and shifts every default complement of L0
+    # by a combination of L0's columns: other complements, same multiplicity
+    shifted = []
+    decompose = cycles.decompose_intersection
+
+    def recording(cfg, complements=None):
+        if complements is not None:
+            default = cycles.higherdim_vertex_family(cfg).generators[:-1]
+            shifted.append(all(a.columns != b.columns for a, b in zip(default, complements)))
+        return decompose(cfg, complements)
+
+    monkeypatch.setattr(cycles, "decompose_intersection", recording)
+    argv = ["verify", "--seed", "3", "--trials", "4", "--n", "4", "--p", "3", "--d", "2",
+            "--mode", "higherdim"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"trials", "agreements", "rejections", "max_lhs", "failed_seeds", "wall_time"}
+    assert out["agreements"] == 4
+    assert shifted == [True] * 4
+
+
+def test_verify_higherdim_disagreement_is_dumped(tmp_path, capsys, monkeypatch):
+    decompose = cycles.decompose_intersection
+
+    def off_on_retry(cfg, complements=None):
+        dec = decompose(cfg, complements)
+        bump = 1 if complements is not None else 0
+        return dataclasses.replace(dec, special_multiplicity=dec.special_multiplicity + bump)
+
+    monkeypatch.setattr(cycles, "decompose_intersection", off_on_retry)
+    argv = ["verify", "--seed", "5", "--trials", "2", "--n", "3", "--p", "2", "--d", "2",
+            "--mode", "higherdim", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert (out["agreements"], out["failed_seeds"]) == (0, [5, 6])
+    assert (tmp_path / "disagreement_trial_0.json").exists()
+
+
+@pytest.mark.parametrize("oracle", ["bfs", "both"])
+def test_verify_higherdim_refuses_the_bfs_oracle(capsys, monkeypatch, oracle):
+    # no oracle checks a positive-dimensional multiplicity yet: refuse before
+    # the first trial rather than report bfs_checked: 0
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cycles, "random_instance", no_trial)
+    argv = ["verify", "--n", "3", "--p", "2", "--d", "2", "--mode", "higherdim", "--oracle", oracle]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--mode higherdim has no BFS oracle" in captured.err
 
 
 def test_export_dot_counts_and_determinism(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from btpgl import cycles, lattices, linalg
+from btpgl import cycles, linalg
 from btpgl.errors import NonIntegralEntry, NotSplitInside, NotUnimodular
 from btpgl.lattices import (
     DualForm,
@@ -235,16 +235,8 @@ def test_intersect_spans_examples():
     assert intersect_spans(std2, [h1, h2]).rank == 0
 
 
-def test_intersect_spans_matches_fraction_recombination(monkeypatch):
-    # the fold recombines in integers; saturate_coords must see the same
-    # vectors as with the sums in Fractions
-    seen = []
-
-    def recording(ambient, kvectors):
-        seen.append(kvectors)
-        return saturate_coords(ambient, kvectors)
-
-    monkeypatch.setattr(lattices, "saturate_coords", recording)
+def _span_draws():
+    """120 seeded (rng, ambient, submodules) draws, n = 2..5, p = 2, 3, 5."""
     rng = random.Random(11)
     for trial in range(120):
         p = rng.choice((2, 3, 5))
@@ -255,8 +247,49 @@ def test_intersect_spans_matches_fraction_recombination(monkeypatch):
             cycles._random_split(rng, ambient, rng.randrange(max(1, n - 2), n), rng.randrange(1, 7))
             for _ in range(rng.randrange(2, 4))
         ]
-        intersect_spans(ambient, subs)
-        assert seen.pop() == fraction_span_fold(ambient, subs)
+        yield rng, ambient, subs
+
+
+def test_intersect_spans_matches_fraction_fold():
+    # the kernel of the stacked forms is the module that folding the spans
+    # in pairs, in Fractions, saturates to
+    for _, ambient, subs in _span_draws():
+        expected = saturate_coords(ambient, fraction_span_fold(ambient, subs))
+        assert same_submodule(intersect_spans(ambient, subs), expected)
+
+
+def _rebased(rng, sub):
+    """The same submodule on another basis: its columns times a seeded
+    matrix that is unimodular over the valuation ring."""
+    u = random_unimodular(rng, sub.rank, sub.ambient.ctx.p)
+    n = sub.ambient.dim
+    cols = [[sum(ui[j] * c[k] for ui, c in zip(u, sub.columns)) for k in range(n)] for j in range(sub.rank)]
+    return SplitSubmodule(sub.ambient, cols)
+
+
+def test_intersect_spans_ignores_order_and_bases():
+    # only the K-spans fix the reduced echelon form of the stacked forms
+    for rng, ambient, subs in _span_draws():
+        moved = [_rebased(rng, s) for s in subs]
+        rng.shuffle(moved)
+        assert intersect_spans(ambient, moved) == intersect_spans(ambient, subs)
+
+
+def test_intersect_spans_edge_cases():
+    rng = random.Random(12)
+    for p in (2, 3, 5):
+        ctx = PAdicContext(p)
+        for n in (2, 3, 4):
+            ambient = random_lattice(rng, ctx, n, 3)
+            sub = cycles._random_split(rng, ambient, rng.randrange(1, n), 4)
+            whole = SplitSubmodule(ambient, random_unimodular(rng, n, p))
+            empty = SplitSubmodule(ambient, ())
+            assert same_submodule(intersect_spans(ambient, [sub]), sub)
+            assert intersect_spans(ambient, [empty]).rank == 0
+            assert intersect_spans(ambient, [sub, empty, whole]).rank == 0
+            full = intersect_spans(ambient, [whole, whole])
+            assert full.rank == n and same_submodule(full, whole)
+            assert intersect_spans(ambient, [whole]) == intersect_spans(ambient, [whole, whole])
 
 
 def test_complete_to_complement_trivial_cases():
