@@ -110,21 +110,6 @@ def _column_hnf_mod(p: int, rows, total: int) -> tuple:
     return tuple(tuple(row) for row in out)
 
 
-def _int_matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for t in range(k):
-            x = arow[t]
-            if x:
-                brow = b[t]
-                for j in range(m):
-                    orow[j] += x * brow[j]
-    return out
-
-
 def _normalize_p_power(rows, p):
     """Divide an integer matrix by the largest common p-power."""
     shift = None
@@ -322,7 +307,7 @@ def _expand(p: int, t, transforms):
     """(key, normalized integer transition) of each neighbour of the class of
     the integer transition t, in transform order."""
     for w in transforms:
-        nt = _normalize_p_power(_int_matmul(t, w), p)
+        nt = _normalize_p_power(linalg.matmul(t, w), p)
         yield _key_from_integer_rows(p, nt), nt
 
 

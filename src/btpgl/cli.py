@@ -36,6 +36,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
+    except RecursionError:
+        raise SchemaError(path, "JSON is nested too deeply") from None
 
 
 def _print_json(obj) -> None:

@@ -394,20 +394,19 @@ def realized_forms(cfg: CycleConfiguration):
     """Primitive forms cutting out each cycle as an intersection of hyperplanes.
 
     For a cycle N of rank r they are a basis of Phi, the integral forms that
-    vanish on N: the saturation of the nullspace of N's columns taken as rows,
-    so each is primitive.  The determinant valuation of the assembled matrix
-    does not depend on that basis.  Complete N's basis to a basis u_1..u_n of
-    the lattice (N is split), with dual basis u^1..u^n.  A form f in Phi is
+    vanish on N: the saturation of :meth:`SplitSubmodule.forms`, so each is
+    primitive.  The determinant valuation of the assembled matrix does not
+    depend on that basis.  Complete N's basis to a basis u_1..u_n of the
+    lattice (N is split), with dual basis u^1..u^n.  A form f in Phi is
     sum_i f(u_i) u^i with f(u_i) = 0 for i <= r and f(u_i) in R, so
     u^{r+1}..u^n is a basis of Phi.  Two bases of Phi thus differ by a matrix
     in GL_{n-r}(R), and changing one cycle's block multiplies the determinant
     by a unit.
     """
     ambient = cfg.ambient
-    n = ambient.dim
     forms = []
     for s in cfg.submodules:
-        phi = saturate_coords(ambient, linalg.nullspace(s.columns, n))
+        phi = saturate_coords(ambient, s.forms())
         forms.extend(DualForm(ambient, c) for c in phi.columns)
     return forms
 
@@ -428,22 +427,16 @@ def verify_intersection_identity(cfg: CycleConfiguration) -> IdentityReport:
 
 
 def apartment_lines(forms):
-    """The n lines obtained by intersecting the kernels of all forms but one.
+    """The n lines obtained by intersecting the kernels of all forms but one:
+    the partial intersections of the hyperplane configuration.
 
     Requires the coefficient matrix to be nonsingular; the lines then span V
     and define the apartment attached to the generic-fibre hyperplanes.
     """
     forms = list(forms)
     intersect_hyperplanes(forms)  # validates the forms, raises when singular
-    ambient = forms[0].ambient
-    n = ambient.dim
-    lines = []
-    for j in range(n):
-        rows = [list(forms[i].coefficients) for i in range(n) if i != j]
-        null = linalg.nullspace(rows)
-        assert len(null) == 1, "kernel of n-1 independent forms must be a line"
-        lines.append(saturate_coords(ambient, null))
-    return lines
+    cfg = CycleConfiguration(forms[0].ambient, [hyperplane_kernel(f) for f in forms])
+    return list(analyze(cfg).partials)
 
 
 def apartment_distance_report(forms) -> ApartmentReport:

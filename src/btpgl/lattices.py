@@ -107,7 +107,7 @@ class SplitSubmodule:
     Rank 0 (no columns) is a legal value.
     """
 
-    __slots__ = ("ambient", "columns")
+    __slots__ = ("ambient", "columns", "_forms")
 
     def __init__(self, ambient: LatticeBasis, columns):
         n = ambient.dim
@@ -120,6 +120,7 @@ class SplitSubmodule:
             raise ValueError("coordinate columns are K-linearly dependent")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "_forms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SplitSubmodule is immutable")
@@ -127,6 +128,15 @@ class SplitSubmodule:
     @property
     def rank(self) -> int:
         return len(self.columns)
+
+    def forms(self):
+        """A K-basis of the forms vanishing on the submodule, as coefficient
+        vectors against the dual of the ambient basis: the nullspace of its
+        columns taken as rows, n - rank of them."""
+        if self._forms is None:
+            null = linalg.nullspace(self.columns, self.ambient.dim)
+            object.__setattr__(self, "_forms", tuple(map(tuple, null)))
+        return self._forms
 
     def standard_columns(self):
         """Basis vectors in the standard coordinates of K^n."""
@@ -315,10 +325,10 @@ def saturate_coords(ambient: LatticeBasis, kvectors) -> SplitSubmodule:
 
 def intersect_spans(ambient: LatticeBasis, submodules) -> SplitSubmodule:
     """Saturation in the lattice of the intersection of the K-spans: the
-    kernel of the forms vanishing on each span (the nullspace of its columns
-    taken as rows), stacked.  The kernel is read off the reduced echelon form
-    of the stacked rows, which only the K-spans fix, so neither the order of
-    the submodules nor their bases matter.  Rank 0 gives an empty submodule.
+    kernel of the forms vanishing on each span (:meth:`SplitSubmodule.forms`),
+    stacked.  The kernel is read off the reduced echelon form of the stacked
+    rows, which only the K-spans fix, so neither the order of the submodules
+    nor their bases matter.  Rank 0 gives an empty submodule.
     """
     subs = list(submodules)
     if not subs:
@@ -328,7 +338,7 @@ def intersect_spans(ambient: LatticeBasis, submodules) -> SplitSubmodule:
     for s in subs:
         if s.ambient != ambient:
             raise ValueError("submodules must share the ambient lattice")
-        forms.extend(linalg.nullspace(s.columns, n))
+        forms.extend(s.forms())
     return saturate_coords(ambient, linalg.nullspace(forms, n))
 
 

@@ -1,16 +1,18 @@
 """Small exact linear-algebra helpers.
 
 Rational routines take list-of-rows matrices of ints or Fractions and return
-Fractions.  Underneath they share one integer kernel: each row is scaled by
-the lcm of its denominators, and a fraction-free Gauss-Jordan elimination
-(pivot on the first nonzero entry, clear by cross-multiplication, divide
-each new row by its content) leaves rows proportional to the reduced row
-echelon form.  Fractions are built only from its final entries.  The reduced
-form, the inverse and the solution of a uniquely solvable system do not
-depend on how the rows were scaled, so the outputs equal those of an
-elimination in Fractions.  The determinant is the Bareiss determinant of the
-row-scaled matrix divided by the product of the scales.  Mod-p routines work
-on list-of-rows matrices of ints and return canonical reduced echelon data.
+Fractions, except :func:`matmul`: its sums start from int 0, so integer inputs
+give ints and an entry with no nonzero product stays int 0.  The others share
+one integer kernel: each row is scaled by the lcm of its denominators, and a
+fraction-free Gauss-Jordan elimination (pivot on the first nonzero entry,
+clear by cross-multiplication, divide each new row by its content) leaves
+rows proportional to the reduced row echelon form.  Fractions are built only
+from its final entries.  The reduced form, the inverse and the solution of a
+uniquely solvable system do not depend on how the rows were scaled, so the
+outputs equal those of an elimination in Fractions.  The determinant is the
+Bareiss determinant of the row-scaled matrix divided by the product of the
+scales.  Mod-p routines work on list-of-rows matrices of ints and return
+canonical reduced echelon data.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def transpose(a):
 
 def matmul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         arow = a[i]
         orow = out[i]

@@ -1,9 +1,11 @@
 """JSON (de)serialization of scalars, matrices, lattices, instances, reports.
 
 Scalars serialize as decimal strings "a" or "a/b" with b > 0 and the fraction
-in lowest terms; input is more liberal (plain ints, non-reduced fractions).
-Matrices serialize row-major as nested arrays of scalar strings.  Parse errors
-raise :class:`~btpgl.errors.SchemaError` carrying the offending field path.
+in lowest terms; input is more liberal (plain ints, non-reduced fractions,
+decimals) but refuses exponent notation, which spells huge numbers in a few
+bytes.  Matrices serialize row-major as nested arrays of scalar strings.
+Parse errors raise :class:`~btpgl.errors.SchemaError` carrying the offending
+field path.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ def parse_scalar(value, field: str = "scalar") -> Fraction:
         return Fraction(value)
     if not isinstance(value, str):
         raise SchemaError(field, f"expected a scalar string, got {type(value).__name__}")
+    if "e" in value or "E" in value:
+        raise SchemaError(field, f"exponent notation is not accepted: {value!r}")
     try:
         return Fraction(value.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -11,9 +11,10 @@ from btpgl.cli import main
 
 
 def count_pass_calls(monkeypatch):
-    """Count calls of intersect_spans, echelon_mod_p and the classification
-    from now on.  Every classification ends in one PropernessReport."""
-    counts = {"intersect_spans": 0, "echelon_mod_p": 0, "classify": 0}
+    """Count calls of intersect_spans, echelon_mod_p, nullspace and the
+    classification from now on.  Every classification ends in one
+    PropernessReport."""
+    counts = {"intersect_spans": 0, "echelon_mod_p": 0, "nullspace": 0, "classify": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -26,6 +27,7 @@ def count_pass_calls(monkeypatch):
     monkeypatch.setattr(lattices, "intersect_spans", spans)
     monkeypatch.setattr(cycles, "intersect_spans", spans)
     monkeypatch.setattr(linalg, "echelon_mod_p", counting("echelon_mod_p", linalg.echelon_mod_p))
+    monkeypatch.setattr(linalg, "nullspace", counting("nullspace", linalg.nullspace))
     monkeypatch.setattr(cycles, "PropernessReport", counting("classify", cycles.PropernessReport))
     return counts
 
@@ -47,6 +49,18 @@ def test_verify_is_one_pass(monkeypatch):
     cycles.vertex_family(cfg)
     assert counts["classify"] == 1
     assert counts["intersect_spans"] <= 6
+
+
+def test_verify_computes_each_cycles_forms_once(monkeypatch):
+    sample = cycles.random_instance(seed=5, n=5, p=3, d=5, max_val=3, mode="submodules")
+    # fresh cycles: the sample's own computed their forms while it was drawn
+    data = serialize.instance_to_json(3, sample.config.ambient, sample.config.submodules)
+    cfg = serialize.parse_instance(data)[3]
+    counts = count_pass_calls(monkeypatch)
+    assert cycles.verify_intersection_identity(cfg).agree
+    # one nullspace per cycle for its forms, one for L0 and one per L_j;
+    # the realized forms saturate the cycles' forms and run none
+    assert counts["nullspace"] <= 2 * len(cfg.submodules) + 1 == 11
 
 
 def test_cli_intersect_higherdim_is_one_pass(tmp_path, monkeypatch, capsys):

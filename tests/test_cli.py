@@ -308,6 +308,25 @@ def test_intersect_prime_beyond_certified_bound_exits_1(tmp_path, capsys):
     assert "invalid input: p:" in capsys.readouterr().err
 
 
+def test_dist_exponent_notation_exits_1_fast(tmp_path, capsys):
+    payload = pair_instance(2, [1, 1])
+    payload["lattice_L"][0][0] = "1e200000"
+    path = write(tmp_path / "pair.json", payload)
+    start = time.perf_counter()
+    assert main(["dist", path]) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: lattice_L[0][0]:") and err.count("\n") == 1
+
+
+def test_intersect_deeply_nested_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main(["intersect", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {path}:") and err.count("\n") == 1
+
+
 def _one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -574,6 +574,39 @@ def test_closed_form_seeded_sweep():
             _check_closed_form(lattice, fam)
 
 
+def test_distance_at_the_model_is_the_distance_to_the_zero_member():
+    # at the model's vertex M every generator is split, so U_a = 0 for every
+    # block and the closed form is -min_a V_a: the largest invariant exponent
+    # of the all-zero member F against M, whose least one is 0 (F is integral
+    # with primitive columns); so the family distance is dist(M, F)
+    counts = {"families": 0, "positive": 0, "scanned": 0}
+    for n in (2, 3, 4, 5):
+        for p in (2, 3, 5):
+            for mode in MODES:
+                if mode == "higherdim" and n == 2:
+                    continue
+                for seed in range(1, 9):
+                    if mode == "hyperplanes":
+                        d = n
+                    elif mode == "submodules":
+                        d = 2 + seed % (n - 1)
+                    else:
+                        d = 2 + seed % (n - 2)
+                    sample = random_instance(seed=seed, n=n, p=p, d=d, max_val=3, mode=mode)
+                    fam = _family_of(sample)
+                    ambient = sample.config.ambient
+                    m = len(fam.generators)
+                    distance = distance_to_family(ambient, fam)
+                    assert distance == dist(ambient, fam.member_lattice((0,) * m))
+                    counts["families"] += 1
+                    counts["positive"] += distance > 0
+                    # the scan oracle, where its window is small
+                    if (2 * distance + 1) ** m <= 2000:
+                        assert scan_distance_to_family(ambient, fam) == distance
+                        counts["scanned"] += 1
+    assert counts == {"families": 264, "positive": 194, "scanned": 249}
+
+
 def test_family_distance_bfs_oracle_triangle():
     # family distances at most 4 agree with BFS against the window key set
     checked = 0

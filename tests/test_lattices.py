@@ -292,6 +292,29 @@ def test_intersect_spans_edge_cases():
             assert intersect_spans(ambient, [whole]) == intersect_spans(ambient, [whole, whole])
 
 
+def test_split_submodule_forms():
+    # n - r independent forms, each vanishing on every column, so they span
+    # the forms that vanish on the submodule; computed once
+    rng = random.Random(15)
+    for trial in range(60):
+        ctx = PAdicContext(rng.choice([2, 3, 5]))
+        n = rng.randrange(2, 6)
+        ambient = LatticeBasis.standard(ctx, n) if trial % 2 else random_lattice(rng, ctx, n, 3)
+        r = rng.randrange(1, n)
+        sub = cycles._random_split(rng, ambient, r, 3)
+        forms = sub.forms()
+        assert len(forms) == n - r and linalg.rank(forms) == n - r
+        for f in forms:
+            for c in sub.columns:
+                assert sum(a * x for a, x in zip(f, c)) == 0
+        assert sub.forms() is forms
+    ambient = LatticeBasis.standard(ctx3, 3)
+    zero = SplitSubmodule(ambient, ()).forms()
+    assert len(zero) == 3 and linalg.rank(zero) == 3
+    whole = SplitSubmodule(ambient, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert whole.forms() == ()
+
+
 def test_complete_to_complement_trivial_cases():
     std = LatticeBasis.standard(ctx3, 3)
     outer = SplitSubmodule(std, [(1, 0, 0), (0, 1, 9)])
@@ -355,7 +378,7 @@ def test_complete_to_complement_matches_greedy_oracle():
         if s < n:
             outer = cycles._random_split(rng, ambient, s, 3)
         else:
-            # the whole lattice in its own basis, as realized_forms completes
+            # the whole lattice in its own basis
             outer = SplitSubmodule(ambient, [[int(i == j) for i in range(n)] for j in range(n)])
         coeffs = [[rng.randrange(-3, 4) for _ in range(s)] for _ in range(rng.randrange(1, s + 1))]
         vecs = [[sum(a * c[i] for a, c in zip(cf, outer.columns)) for i in range(n)] for cf in coeffs]

@@ -22,6 +22,15 @@ def test_det_inv_roundtrip():
     assert linalg.matmul(a, linalg.inv(a)) == linalg.identity(2)
 
 
+def test_matmul_keeps_integer_products_integral():
+    # integer transitions in the building are multiplied with it
+    ab = linalg.matmul([[1, 2], [0, 3]], [[4, 0], [5, 6]])
+    assert ab == [[14, 12], [15, 18]]
+    assert all(type(x) is int for row in ab for x in row)
+    half = linalg.matmul([[Fraction(1, 2), 0], [0, 0]], [[2, 1], [0, 1]])
+    assert half == [[1, Fraction(1, 2)], [0, 0]]
+
+
 def test_int_det_matches_rational_det():
     rng = random.Random(5)
     for _ in range(40):

@@ -16,9 +16,11 @@ def test_scalar_round_trip():
     assert serialize.parse_scalar("-3/4") == Fraction(-3, 4)
     assert serialize.parse_scalar(5) == 5
     assert serialize.scalar_to_str(serialize.parse_scalar("0")) == "0"
+    assert serialize.parse_scalar(" 1.25 ") == Fraction(5, 4)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", None, 1.5, True])
+# exponent notation spells huge numbers in a few bytes, so it is refused
+@pytest.mark.parametrize("bad", ["", "x", "1/0", None, 1.5, True, "1e200000", "1E5", "2.5e-3"])
 def test_scalar_parse_errors(bad):
     with pytest.raises(SchemaError):
         serialize.parse_scalar(bad, "field")
