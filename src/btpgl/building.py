@@ -393,7 +393,7 @@ def bfs_ball(reference: LatticeBasis, center: LatticeBasis, radius: int):
     ctx = reference.ctx
     p = ctx.p
     _check_ball_size(reference.dim, p, radius)
-    transforms = _neighbor_transforms(reference.dim, p)
+    transforms = _neighbor_transforms(reference.dim, p) if radius else ()
     t0 = _integer_transition(reference, center)
     reps = [(_key_from_integer_rows(p, t0), t0)]
     depth = [0]

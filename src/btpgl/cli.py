@@ -46,7 +46,7 @@ def _print_json(obj) -> None:
 
 def cmd_intersect(args) -> int:
     data = _load_json(args.instance)
-    ctx, lattice, forms, cfg = serialize.parse_instance(data)
+    cfg = serialize.parse_instance(data)[3]
     report = cycles.properness_check(cfg)
     if report.kind is cycles.Properness.PROPER_HIGHER_DIM:
         dec = cycles.decompose_intersection(cfg)
@@ -58,19 +58,12 @@ def cmd_intersect(args) -> int:
     if report.kind is cycles.Properness.EMPTY_INTERSECTION:
         _print_json({"number": 0})
         return EXIT_OK
+    if cfg.codim_sum() == cfg.ambient.dim:
+        # raises ImproperGenericIntersection when the spans meet over K
+        number = cycles.intersect_hyperplanes(cycles.realized_forms(cfg))
     if report.kind is cycles.Properness.IMPROPER:
-        if forms is not None and len(forms) == cfg.ambient.dim:
-            try:
-                cycles.intersect_hyperplanes(forms)
-            except ImproperGenericIntersection as exc:
-                print(f"ImproperGenericIntersection: {exc}", file=sys.stderr)
-                return EXIT_IMPROPER
         print("Improper: cycles do not meet properly on the model", file=sys.stderr)
         return EXIT_IMPROPER
-    if forms is not None:
-        number = cycles.intersect_hyperplanes(forms)
-    else:
-        number = cycles.intersect_hyperplanes(cycles.realized_forms(cfg))
     _print_json({"number": number})
     return EXIT_OK
 

@@ -218,8 +218,18 @@ class InstanceSample:
 
 
 def hyperplane_kernel(form: DualForm) -> SplitSubmodule:
-    """The split rank n-1 submodule on which a primitive form vanishes."""
-    return saturate_coords(form.ambient, linalg.nullspace([form.coefficients]))
+    """The split rank n-1 kernel of a primitive form a, kept with a as its forms.
+
+    With a_j the first unit entry, the columns e_i - (a_i/a_j) e_j (i != j)
+    are integral and a kills them.  Mod p they hold the identity off
+    coordinate j, so they span a split rank n-1 submodule of ker a: its
+    saturation.  The forms vanishing on it are the c*a, c in K, and c*a is
+    integral iff c*a_j is, iff c is; so R*a is every integral one.
+    """
+    a, n = form.coefficients, form.ambient.dim
+    j = next(i for i in range(n) if form.ambient.ctx.is_unit(a[i]))
+    cols = [[-a[i] / a[j] if k == j else int(k == i) for k in range(n)] for i in range(n) if i != j]
+    return SplitSubmodule(form.ambient, cols, forms=(a,))
 
 
 def intersect_hyperplanes(forms) -> int:

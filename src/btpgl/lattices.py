@@ -104,12 +104,13 @@ class SplitSubmodule:
 
     The coordinate vectors must be K-linearly independent and p-integral;
     whether the submodule is actually split is tested by :func:`is_split`.
-    Rank 0 (no columns) is a legal value.
+    Rank 0 (no columns) is a legal value.  The forms vanishing on it may be
+    given too, and are checked as :meth:`forms` describes them.
     """
 
     __slots__ = ("ambient", "columns", "_forms")
 
-    def __init__(self, ambient: LatticeBasis, columns):
+    def __init__(self, ambient: LatticeBasis, columns, forms=None):
         n = ambient.dim
         cols = tuple(_to_fraction_vector(c, n) for c in columns)
         for c in cols:
@@ -118,9 +119,15 @@ class SplitSubmodule:
                     raise NonIntegralEntry(f"coordinate {x} is not {ambient.ctx.p}-integral")
         if cols and linalg.rank(linalg.transpose(cols)) != len(cols):
             raise ValueError("coordinate columns are K-linearly dependent")
+        if forms is not None:
+            forms = tuple(_to_fraction_vector(f, n) for f in forms)
+            if len(forms) != n - len(cols) or linalg.rank(forms) != len(forms):
+                raise ValueError(f"need {n - len(cols)} independent forms")
+            if forms and any(map(any, linalg.matmul(cols, linalg.transpose(forms)))):
+                raise ValueError("a form does not vanish on the submodule")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "_forms", None)
+        object.__setattr__(self, "_forms", forms)
 
     def __setattr__(self, name, value):
         raise AttributeError("SplitSubmodule is immutable")
@@ -131,8 +138,8 @@ class SplitSubmodule:
 
     def forms(self):
         """A K-basis of the forms vanishing on the submodule, as coefficient
-        vectors against the dual of the ambient basis: the nullspace of its
-        columns taken as rows, n - rank of them."""
+        vectors against the dual of the ambient basis, n - rank of them: the
+        ones it was built with, else the nullspace of its columns as rows."""
         if self._forms is None:
             null = linalg.nullspace(self.columns, self.ambient.dim)
             object.__setattr__(self, "_forms", tuple(map(tuple, null)))
@@ -255,7 +262,7 @@ def _eliminate(ctx: PAdicContext, b, p_cols=None):
                 m = b[i][t] / piv
                 b[i] = [x - m * y for x, y in zip(b[i], b[t])]
                 if p_cols is not None:
-                    p_cols[t] = [x + m * y for x, y in zip(p_cols[t], p_cols[i])]
+                    p_cols[t] = [x + m * y if y else x for x, y in zip(p_cols[t], p_cols[i])]
     return colorder, vals
 
 

@@ -11,10 +11,11 @@ from btpgl.cli import main
 
 
 def count_pass_calls(monkeypatch):
-    """Count calls of intersect_spans, echelon_mod_p, nullspace and the
-    classification from now on.  Every classification ends in one
-    PropernessReport."""
-    counts = {"intersect_spans": 0, "echelon_mod_p": 0, "nullspace": 0, "classify": 0}
+    """Count calls of intersect_spans, saturate_coords, echelon_mod_p,
+    nullspace and the classification from now on.  Every classification ends
+    in one PropernessReport."""
+    names = ("intersect_spans", "saturate_coords", "echelon_mod_p", "nullspace", "classify")
+    counts = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -26,6 +27,9 @@ def count_pass_calls(monkeypatch):
     spans = counting("intersect_spans", lattices.intersect_spans)
     monkeypatch.setattr(lattices, "intersect_spans", spans)
     monkeypatch.setattr(cycles, "intersect_spans", spans)
+    saturate = counting("saturate_coords", lattices.saturate_coords)
+    monkeypatch.setattr(lattices, "saturate_coords", saturate)
+    monkeypatch.setattr(cycles, "saturate_coords", saturate)
     monkeypatch.setattr(linalg, "echelon_mod_p", counting("echelon_mod_p", linalg.echelon_mod_p))
     monkeypatch.setattr(linalg, "nullspace", counting("nullspace", linalg.nullspace))
     monkeypatch.setattr(cycles, "PropernessReport", counting("classify", cycles.PropernessReport))
@@ -61,6 +65,21 @@ def test_verify_computes_each_cycles_forms_once(monkeypatch):
     # one nullspace per cycle for its forms, one for L0 and one per L_j;
     # the realized forms saturate the cycles' forms and run none
     assert counts["nullspace"] <= 2 * len(cfg.submodules) + 1 == 11
+
+
+def test_hyperplane_cycles_come_from_their_forms(monkeypatch):
+    sample = cycles.random_instance(seed=5, n=5, p=3, d=5, max_val=3, mode="hyperplanes")
+    data = serialize.instance_to_json(3, sample.config.ambient, sample.forms)
+    counts = count_pass_calls(monkeypatch)
+    cfg = serialize.parse_instance(data)[3]
+    # each kernel is a closed form that keeps its form
+    assert counts["nullspace"] == counts["saturate_coords"] == 0
+    assert cycles.verify_intersection_identity(cfg).agree
+    # one nullspace for L0 and one per L_j
+    assert counts["nullspace"] == 6
+    counts["nullspace"] = 0
+    assert len(cycles.apartment_lines(sample.forms)) == 5
+    assert counts["nullspace"] <= 6
 
 
 def test_cli_intersect_higherdim_is_one_pass(tmp_path, monkeypatch, capsys):

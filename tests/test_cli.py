@@ -77,6 +77,33 @@ def test_intersect_improper_exits_2(tmp_path, capsys):
     assert "ImproperGenericIntersection" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        # a line inside a plane: the spans meet over K, the forms are singular
+        ([[["1", "0", "0"], ["0", "1", "0"]], [["1", "3", "0"]]], "ImproperGenericIntersection: "),
+        # three hyperplanes with one reduction: det 9, but rank 1 mod 3
+        (
+            [
+                [["0", "1", "0"], ["0", "0", "1"]],
+                [["3", "1", "0"], ["0", "0", "1"]],
+                [["3", "0", "1"], ["0", "1", "0"]],
+            ],
+            "Improper: ",
+        ),
+    ],
+)
+def test_intersect_improper_submodules_exit_2(tmp_path, capsys, columns, message):
+    payload = {
+        "p": 3,
+        "n": 3,
+        "lattice_M": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "cycles": [{"kind": "submodule", "columns": cols} for cols in columns],
+    }
+    assert main(["intersect", write(tmp_path / "inst.json", payload)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_intersect_parse_error_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -273,6 +300,16 @@ def test_export_dot_counts_and_determinism(tmp_path, capsys):
     assert main(["export-dot", "--n", "2", "--p", "3", "--radius", "2", "--out", str(out3)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["nodes"] == 17
+
+
+def test_export_dot_radius_0_builds_no_neighbours(tmp_path, capsys):
+    # F_2^12 has about 4.9e11 proper subspaces, far above the cap, but a
+    # ball of radius 0 is its centre alone
+    start = time.perf_counter()
+    assert main(["export-dot", "--n", "12", "--p", "2", "--radius", "0", "--out", str(tmp_path / "x")]) == 0
+    assert time.perf_counter() - start < 5.0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["nodes"], summary["edges"]) == (1, 0)
 
 
 def test_export_dot_with_instance_highlights_geodesic(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from sympy import Matrix, Rational
 
 from btpgl import cycles, linalg
 from btpgl.building import bfs_dist, class_key, dist
@@ -40,6 +41,7 @@ from btpgl.lattices import (
     SplitSubmodule,
     is_split,
     same_submodule,
+    saturate_coords,
     transform_dual_form,
 )
 from btpgl.padic import PAdicContext
@@ -55,6 +57,7 @@ from helpers import (
     rebase,
     right_multiply,
     scan_distance_to_family,
+    sympy_invariant_exponents,
 )
 
 ctx2 = PAdicContext(2)
@@ -107,6 +110,35 @@ def test_hyperplane_kernel_examples():
     ker3 = hyperplane_kernel(DualForm(lattice3, (0, 1, 3)))
     assert same_submodule(ker3, SplitSubmodule(lattice3, [(1, 0, 0), (0, -3, 1)]))
     assert is_split(ker3)
+
+
+def _form_entry(rng, p, unit):
+    """u * p^k / d with u and d prime to p: a unit when asked, else zero or
+    p-divisible."""
+    if not unit and rng.random() < 0.3:
+        return Fraction(0)
+    u = rng.choice([x for x in range(-2 * p, 2 * p) if x % p])
+    k = 0 if unit else rng.randrange(1, 4)
+    return Fraction(u * p**k, rng.choice([1, 1, p + 1, 2 * p - 1]))
+
+
+def test_hyperplane_kernel_is_the_saturated_kernel():
+    # the closed form against an elimination: the same module as the
+    # saturated nullspace of the form, split, and keeping the form as its
+    # forms; the first unit entry takes every position
+    rng = random.Random(16)
+    for n in range(2, 7):
+        for p in (2, 3, 5, 7):
+            ctx = PAdicContext(p)
+            for j in range(n):
+                for trial in range(6):
+                    ambient = std(ctx, n) if trial % 2 else random_lattice(rng, ctx, n, 2)
+                    coeffs = [_form_entry(rng, p, i == j or (i > j and rng.random() < 0.5)) for i in range(n)]
+                    form = DualForm(ambient, tuple(coeffs))
+                    ker = hyperplane_kernel(form)
+                    assert ker.rank == n - 1 and is_split(ker)
+                    assert same_submodule(ker, saturate_coords(ambient, linalg.nullspace([coeffs])))
+                    assert ker.forms() == (form.coefficients,)
 
 
 def test_intersect_hyperplanes_examples():
@@ -671,3 +703,92 @@ def test_cycle_configuration_validation():
         CycleConfiguration(lattice, [full, line])
     with pytest.raises(ValueError):
         CycleConfiguration(lattice, [line, SplitSubmodule(lattice, [(2, 0)])])
+
+
+def _reduced_points(sub):
+    """The points of F_p^n in the reduced span of a cycle."""
+    p = sub.ambient.ctx.p
+    cols = sub.reduction()
+    return {
+        tuple(sum(a * col[i] for a, col in zip(coeffs, cols)) % p for i in range(sub.ambient.dim))
+        for coeffs in product(range(p), repeat=len(cols))
+    }
+
+
+def _oracle_properness(cfg):
+    """The classification of :func:`analyze`'s docstring, with the special
+    dimension counted as the points of F_p^n in every reduced span and the
+    generic one from a sympy rank over Q of the forms of the spans."""
+    n, p = cfg.ambient.dim, cfg.ambient.ctx.p
+    points = len(set.intersection(*(_reduced_points(s) for s in cfg.submodules)))
+    special_dim = next(k for k in range(n + 1) if p**k == points)
+    forms = []
+    for s in cfg.submodules:
+        forms += Matrix([[Rational(x.numerator, x.denominator) for x in c] for c in s.columns]).nullspace()
+    generic_dim = n - Matrix.hstack(*forms).rank()
+    c = cfg.codim_sum()
+    r0 = max(n - c, 0)
+    if c > n:
+        # no dimension is expected: proper only when the reductions miss
+        return Properness.EMPTY_INTERSECTION if special_dim == 0 else Properness.IMPROPER
+    if generic_dim != r0 or special_dim > r0 + 1:
+        return Properness.IMPROPER
+    if c < n:
+        return Properness.PROPER_HIGHER_DIM
+    return Properness.PROPER_0DIM if special_dim else Properness.EMPTY_INTERSECTION
+
+
+def _built_improper(rng, p):
+    """Configurations built to be improper: a repeated cycle, two cycles with
+    equal reductions, and a line inside a hyperplane (spans meeting over K
+    with codimensions summing to n)."""
+    ctx = PAdicContext(p)
+    out = []
+    for n in (2, 3, 4):
+        ambient = std(ctx, n)
+        s = cycles._random_split(rng, ambient, rng.randrange(1, n), 3)
+        out.append(CycleConfiguration(ambient, [s, s]))
+        if n > 2:
+            # equal reductions of rank r meet in dimension r > r0 + 1 on the
+            # special fibre when r <= n/2 (at n = 2 they may be proper)
+            s = cycles._random_split(rng, ambient, rng.randrange(1, n // 2 + 1), 3)
+            lifted = [[x + p * rng.randrange(-3, 4) for x in col] for col in s.columns]
+            out.append(CycleConfiguration(ambient, [s, SplitSubmodule(ambient, lifted)]))
+            s = cycles._random_split(rng, ambient, n - 1, 3)
+            line = [x + p * y for x, y in zip(s.columns[0], s.columns[1])]
+            out.append(CycleConfiguration(ambient, [s, SplitSubmodule(ambient, [line])]))
+    return out
+
+
+def test_properness_matches_an_independent_oracle(monkeypatch):
+    # every configuration the generator classifies, rejected draws included,
+    # tagged with the mode of the loop below that drew it
+    drawn = []
+
+    def record(cfg):
+        drawn.append((mode, cfg))
+        return properness_check(cfg)
+
+    monkeypatch.setattr(cycles, "properness_check", record)
+    for n in (2, 3, 4):
+        for p in (2, 3):
+            cells = [("hyperplanes", n)] + [("submodules", d) for d in range(2, n + 1)]
+            cells += [("higherdim", d) for d in range(2, n)]
+            for mode, d in cells:
+                for seed in range(8):
+                    random_instance(seed, n, p, d, max_val=3, mode=mode)
+    built = [cfg for p in (2, 3) for cfg in _built_improper(random.Random(p), p)]
+    kinds = set()
+    for mode, cfg in drawn + [("built", cfg) for cfg in built]:
+        kind = properness_check(cfg).kind
+        assert kind is _oracle_properness(cfg)
+        if mode == "hyperplanes":
+            # proper in dimension 0 iff the matrix A of the drawn forms (each
+            # kernel keeps its form) has det A != 0 and rank(A mod p) = n - 1
+            n = cfg.ambient.dim
+            forms = [s.forms()[0] for s in cfg.submodules]
+            finite, zeros = sympy_invariant_exponents(forms, cfg.ambient.ctx.p)
+            assert (zeros == 0 and finite.count(0) == n - 1) == (kind is Properness.PROPER_0DIM)
+        kinds.add(kind)
+    assert all(properness_check(cfg).kind is Properness.IMPROPER for cfg in built)
+    assert kinds == set(Properness)

@@ -315,6 +315,26 @@ def test_split_submodule_forms():
     assert whole.forms() == ()
 
 
+def test_split_submodule_given_forms():
+    # forms given as data are kept, and checked as columns are: n - rank of
+    # them, independent, each vanishing on every column
+    ambient = LatticeBasis.standard(ctx3, 3)
+    plane = [(1, 0, 0), (0, 1, 3)]
+    assert SplitSubmodule(ambient, plane, forms=[(0, -3, 1)]).forms() == ((0, -3, 1),)
+    assert SplitSubmodule(ambient, (), forms=linalg.identity(3)).forms() == tuple(map(tuple, linalg.identity(3)))
+    assert SplitSubmodule(ambient, linalg.identity(3), forms=()).forms() == ()
+    refused = [
+        (plane, [(0, 3, 1)]),  # does not vanish on the second column
+        (plane, []),  # too few
+        (plane, [(0, -3, 1), (0, 3, -1)]),  # too many
+        ([(1, 0, 0)], [(0, 1, 0), (0, 2, 0)]),  # dependent
+        ((), [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),  # dependent
+    ]
+    for cols, forms in refused:
+        with pytest.raises(ValueError):
+            SplitSubmodule(ambient, cols, forms=forms)
+
+
 def test_complete_to_complement_trivial_cases():
     std = LatticeBasis.standard(ctx3, 3)
     outer = SplitSubmodule(std, [(1, 0, 0), (0, 1, 9)])
