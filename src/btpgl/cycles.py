@@ -269,11 +269,9 @@ def analyze(cfg: CycleConfiguration) -> CycleAnalysis:
     c = cfg.codim_sum()
     p = cfg.ambient.ctx.p
     generic = intersect_spans(cfg.ambient, cfg.submodules)
-    # the reduced echelon form of a subspace is unique, so the raw reductions
-    # need no echelon of their own: each fold step returns that form
-    special = cfg.submodules[0].reduction()
+    special = cfg.submodules[0].echelon()[0]
     for s in cfg.submodules[1:]:
-        special = linalg.intersect_mod_p(special, s.reduction(), p)
+        special = linalg.intersect_mod_p(special, s.echelon()[0], p)
     generic_dim, special_dim = generic.rank, len(special)
     r0 = max(n - c, 0)
     if c > n:
@@ -317,20 +315,6 @@ def vertex_family(cfg: CycleConfiguration) -> VertexFamily:
     analysis = analyze(cfg)
     _require(analysis.properness, Properness.PROPER_0DIM, Properness.EMPTY_INTERSECTION)
     return VertexFamily(cfg.ambient, analysis.partials)
-
-
-def _tuples_with_spread(nfree: int, spread: int):
-    """All integer tuples of length nfree+1 ending in 0 whose max - min,
-    including the trailing 0, equals the given spread."""
-    if spread == 0:
-        yield (0,) * (nfree + 1)
-        return
-    for lo in range(-spread, 1):
-        hi = lo + spread
-        for tup in product(range(lo, hi + 1), repeat=nfree):
-            vals = tup + (0,)
-            if min(vals) == lo and max(vals) == hi:
-                yield vals
 
 
 def nearest_family_member(lattice: LatticeBasis, family: VertexFamily):
@@ -380,21 +364,21 @@ def family_window_keys(reference: LatticeBasis, family: VertexFamily):
     """Class keys of every family member in the exactness window around the
     reference, for use as a BFS target set.  With B0 the distance to the
     all-zero member, a member's distance to it is its exponent spread, so
-    every nearest member has spread at most 2*B0; the whole window of such
-    tuples (last exponent pinned to 0) is enumerated without pruning.  Each
+    every nearest member has spread at most S = 2*B0: up to homothety, a
+    tuple in [0, S]^m that contains 0.  The whole window is enumerated.  Each
     member is the all-zero member with its generator blocks scaled, so its
     key comes from one integer transition (:func:`block_scaled_keys`)."""
     m = len(family.generators)
     zero = family.member_lattice((0,) * m)
-    b0 = dist(reference, zero)
-    window = (kvec for spread in range(2 * b0 + 1) for kvec in _tuples_with_spread(m - 1, spread))
+    s = 2 * dist(reference, zero)
+    window = (k for k in product(range(s + 1), repeat=m) if 0 in k)
     return block_scaled_keys(reference, zero, [g.rank for g in family.generators], window)
 
 
 def family_window_size(reference: LatticeBasis, family: VertexFamily) -> int:
     """Number of keys :func:`family_window_keys` returns, without building
-    them: with S = 2*B0, the window's m-tuples shifted to minimum 0 are the
-    tuples in [0, S]^m that meet 0, and distinct tuples are distinct classes."""
+    them: (S+1)^m - S^m window tuples, and distinct tuples are distinct
+    classes."""
     m = len(family.generators)
     s = 2 * dist(reference, family.member_lattice((0,) * m))
     return (s + 1) ** m - s**m
@@ -403,22 +387,16 @@ def family_window_size(reference: LatticeBasis, family: VertexFamily) -> int:
 def realized_forms(cfg: CycleConfiguration):
     """Primitive forms cutting out each cycle as an intersection of hyperplanes.
 
-    For a cycle N of rank r they are a basis of Phi, the integral forms that
-    vanish on N: the saturation of :meth:`SplitSubmodule.forms`, so each is
-    primitive.  The determinant valuation of the assembled matrix does not
-    depend on that basis.  Complete N's basis to a basis u_1..u_n of the
-    lattice (N is split), with dual basis u^1..u^n.  A form f in Phi is
-    sum_i f(u_i) u^i with f(u_i) = 0 for i <= r and f(u_i) in R, so
-    u^{r+1}..u^n is a basis of Phi.  Two bases of Phi thus differ by a matrix
-    in GL_{n-r}(R), and changing one cycle's block multiplies the determinant
-    by a unit.
+    For a cycle N of rank r they are :meth:`SplitSubmodule.forms`, an R-basis
+    of Phi, the integral forms that vanish on N; each holds a unit.  The
+    determinant valuation of the assembled matrix does not depend on that
+    basis.  Complete N's basis to a basis u_1..u_n of the lattice (N is
+    split), with dual basis u^1..u^n.  A form f in Phi is sum_i f(u_i) u^i
+    with f(u_i) = 0 for i <= r and f(u_i) in R, so u^{r+1}..u^n is a basis of
+    Phi.  Two bases of Phi thus differ by a matrix in GL_{n-r}(R), and
+    changing one cycle's block multiplies the determinant by a unit.
     """
-    ambient = cfg.ambient
-    forms = []
-    for s in cfg.submodules:
-        phi = saturate_coords(ambient, s.forms())
-        forms.extend(DualForm(ambient, c) for c in phi.columns)
-    return forms
+    return [DualForm(cfg.ambient, f) for s in cfg.submodules for f in s.forms()]
 
 
 def verify_intersection_identity(cfg: CycleConfiguration) -> IdentityReport:

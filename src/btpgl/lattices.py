@@ -61,11 +61,6 @@ class LatticeBasis:
     def from_rows(cls, ctx: PAdicContext, rows) -> "LatticeBasis":
         return cls(ctx, linalg.transpose(rows))
 
-    @classmethod
-    def diagonal(cls, ctx: PAdicContext, entries) -> "LatticeBasis":
-        n = len(entries)
-        return cls(ctx, [[entries[j] if i == j else 0 for i in range(n)] for j in range(n)])
-
     def rows(self):
         """Basis matrix as list of rows (entry [i][j] = i-th coordinate of vector j)."""
         if self._rows is None:
@@ -108,26 +103,29 @@ class SplitSubmodule:
     given too, and are checked as :meth:`forms` describes them.
     """
 
-    __slots__ = ("ambient", "columns", "_forms")
+    __slots__ = ("ambient", "columns", "_forms", "_echelon")
 
     def __init__(self, ambient: LatticeBasis, columns, forms=None):
-        n = ambient.dim
+        n, ctx = ambient.dim, ambient.ctx
         cols = tuple(_to_fraction_vector(c, n) for c in columns)
-        for c in cols:
-            for x in c:
-                if not ambient.ctx.is_integral(x):
-                    raise NonIntegralEntry(f"coordinate {x} is not {ambient.ctx.p}-integral")
+        if forms is not None:
+            forms = tuple(_to_fraction_vector(f, n) for f in forms)
+        for v in cols + (forms or ()):
+            for x in v:
+                if not ctx.is_integral(x):
+                    raise NonIntegralEntry(f"entry {x} is not {ctx.p}-integral")
         if cols and linalg.rank(linalg.transpose(cols)) != len(cols):
             raise ValueError("coordinate columns are K-linearly dependent")
         if forms is not None:
-            forms = tuple(_to_fraction_vector(f, n) for f in forms)
-            if len(forms) != n - len(cols) or linalg.rank(forms) != len(forms):
-                raise ValueError(f"need {n - len(cols)} independent forms")
+            pivots = linalg.echelon_mod_p([list(map(ctx.residue, f)) for f in forms], ctx.p)[1]
+            if len(forms) != n - len(cols) or len(pivots) < len(forms):
+                raise ValueError(f"need {n - len(cols)} forms independent mod p")
             if forms and any(map(any, linalg.matmul(cols, linalg.transpose(forms)))):
                 raise ValueError("a form does not vanish on the submodule")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "_forms", forms)
+        object.__setattr__(self, "_echelon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SplitSubmodule is immutable")
@@ -136,24 +134,45 @@ class SplitSubmodule:
     def rank(self) -> int:
         return len(self.columns)
 
+    def echelon(self):
+        """Reduced row echelon form of the coordinate columns mod p, as
+        (rows, pivot positions); computed on first use and kept."""
+        if self._echelon is None:
+            ctx = self.ambient.ctx
+            ech = linalg.echelon_mod_p([list(map(ctx.residue, c)) for c in self.columns], ctx.p)
+            object.__setattr__(self, "_echelon", (tuple(map(tuple, ech[0])), tuple(ech[1])))
+        return self._echelon
+
     def forms(self):
-        """A K-basis of the forms vanishing on the submodule, as coefficient
-        vectors against the dual of the ambient basis, n - rank of them: the
-        ones it was built with, else the nullspace of its columns as rows."""
+        """An R-basis of the integral forms vanishing on the submodule, as
+        coefficient vectors against the dual of the ambient basis: the n - rank
+        given ones (integral, independent mod p, each vanishing on every
+        column), else pivoted on the unit minor.  ValueError if not split.
+
+        With C the columns as rows and J the pivots of their echelon mod p,
+        row operations turn C_J, the columns J of C, into the identity mod p,
+        so det C_J is a unit.  For i not in J, e_i - sum_s (C_J^{-1} C_i)_s
+        e_{J_s} is thus integral and vanishes on N: the nullspace vector of C
+        at free position i once the positions J are eliminated first.  An
+        integral form f vanishing on N, minus these vectors' combination with
+        coefficients f_i (i not in J), vanishes on N and off J, so it is 0:
+        they span every such form.
+        """
+        pivots = self.echelon()[1]
+        if len(pivots) != self.rank:
+            raise ValueError("submodule is not split, so its forms have no unit minor")
         if self._forms is None:
-            null = linalg.nullspace(self.columns, self.ambient.dim)
-            object.__setattr__(self, "_forms", tuple(map(tuple, null)))
+            n = self.ambient.dim
+            order = pivots + tuple(i for i in range(n) if i not in pivots)
+            null = linalg.nullspace([[c[i] for i in order] for c in self.columns], n)
+            back = sorted(range(n), key=order.__getitem__)
+            object.__setattr__(self, "_forms", tuple(tuple(v[k] for k in back) for v in null))
         return self._forms
 
     def standard_columns(self):
         """Basis vectors in the standard coordinates of K^n."""
         rows = self.ambient.rows()
         return [linalg.matvec(rows, list(c)) for c in self.columns]
-
-    def reduction(self):
-        """Coordinate columns mod p, as int vectors."""
-        ctx = self.ambient.ctx
-        return [[ctx.residue(x) for x in c] for c in self.columns]
 
     def __eq__(self, other) -> bool:
         return (
@@ -312,7 +331,7 @@ def is_split(sub: SplitSubmodule) -> bool:
 
     Equivalently, the ambient lattice modulo the submodule is torsion free.
     """
-    return len(linalg.echelon_mod_p(sub.reduction(), sub.ambient.ctx.p)[1]) == sub.rank
+    return len(sub.echelon()[1]) == sub.rank
 
 
 def saturate_coords(ambient: LatticeBasis, kvectors) -> SplitSubmodule:
@@ -335,7 +354,7 @@ def intersect_spans(ambient: LatticeBasis, submodules) -> SplitSubmodule:
     kernel of the forms vanishing on each span (:meth:`SplitSubmodule.forms`),
     stacked.  The kernel is read off the reduced echelon form of the stacked
     rows, which only the K-spans fix, so neither the order of the submodules
-    nor their bases matter.  Rank 0 gives an empty submodule.
+    nor their bases matter.  Each must be split; rank 0 gives an empty one.
     """
     subs = list(submodules)
     if not subs:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from sympy import Matrix, ZZ
@@ -11,7 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from btpgl import building, linalg
 from btpgl.building import class_key, dist
-from btpgl.cycles import CycleConfiguration, VertexFamily, _tuples_with_spread
+from btpgl.cycles import CycleConfiguration, VertexFamily
 from btpgl.lattices import DualForm, LatticeBasis, SplitSubmodule
 from btpgl.padic import PAdicContext, int_val
 
@@ -63,6 +64,12 @@ def random_unimodular(rng: random.Random, n: int, p: int, steps: int = 6):
                 u = -u
             m[i] = [u * x for x in m[i]]
     return m
+
+
+def diagonal(ctx, entries) -> LatticeBasis:
+    """The lattice with basis entries[j] * e_j."""
+    n = len(entries)
+    return LatticeBasis(ctx, [[entries[j] if i == j else 0 for i in range(n)] for j in range(n)])
 
 
 def random_lattice(rng: random.Random, ctx, n: int, spread: int) -> LatticeBasis:
@@ -208,6 +215,20 @@ def family_profile(lattice: LatticeBasis, family: VertexFamily) -> MinorValuatio
     for b, g in enumerate(family.generators):
         row_block.extend([b] * g.rank)
     return MinorValuationProfile(ambient.ctx, t0, row_block)
+
+
+def _tuples_with_spread(nfree: int, spread: int):
+    """All integer tuples of length nfree+1 ending in 0 whose max - min,
+    including the trailing 0, equals the given spread."""
+    if spread == 0:
+        yield (0,) * (nfree + 1)
+        return
+    for lo in range(-spread, 1):
+        hi = lo + spread
+        for tup in product(range(lo, hi + 1), repeat=nfree):
+            vals = tup + (0,)
+            if min(vals) == lo and max(vals) == hi:
+                yield vals
 
 
 def scan_distance_to_family(lattice: LatticeBasis, family: VertexFamily) -> int:
@@ -532,6 +553,7 @@ def echeloned_special_fold(cfg: CycleConfiguration):
     p = cfg.ambient.ctx.p
     special = None
     for s in cfg.submodules:
-        rows = linalg.echelon_mod_p(s.reduction(), p)[0]
+        reduced = [[x.numerator * pow(x.denominator, -1, p) % p for x in c] for c in s.columns]
+        rows = linalg.echelon_mod_p(reduced, p)[0]
         special = rows if special is None else linalg.intersect_mod_p(special, rows, p)
     return tuple(tuple(r) for r in special)

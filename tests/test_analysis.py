@@ -8,13 +8,14 @@ from sympy import Matrix, Rational
 
 from btpgl import cycles, lattices, linalg, serialize
 from btpgl.cli import main
+from btpgl.padic import PAdicContext
 
 
 def count_pass_calls(monkeypatch):
     """Count calls of intersect_spans, saturate_coords, echelon_mod_p,
-    nullspace and the classification from now on.  Every classification ends
-    in one PropernessReport."""
-    names = ("intersect_spans", "saturate_coords", "echelon_mod_p", "nullspace", "classify")
+    nullspace, PAdicContext.residue and the classification from now on.
+    Every classification ends in one PropernessReport."""
+    names = ("intersect_spans", "saturate_coords", "echelon_mod_p", "nullspace", "residue", "classify")
     counts = dict.fromkeys(names, 0)
 
     def counting(name, fn):
@@ -32,6 +33,7 @@ def count_pass_calls(monkeypatch):
     monkeypatch.setattr(cycles, "saturate_coords", saturate)
     monkeypatch.setattr(linalg, "echelon_mod_p", counting("echelon_mod_p", linalg.echelon_mod_p))
     monkeypatch.setattr(linalg, "nullspace", counting("nullspace", linalg.nullspace))
+    monkeypatch.setattr(PAdicContext, "residue", counting("residue", PAdicContext.residue))
     monkeypatch.setattr(cycles, "PropernessReport", counting("classify", cycles.PropernessReport))
     return counts
 
@@ -45,7 +47,7 @@ def test_verify_is_one_pass(monkeypatch):
     assert report.agree
     # one span intersection for L0 and one per partial intersection L_j;
     # one mod-p echelon per F_p-intersection of the fold (4 here), and none
-    # for the realized forms, which are saturated kernels
+    # for the realized forms, which are the cycles' forms
     assert counts["classify"] == 1
     assert counts["intersect_spans"] <= 6
     assert counts["echelon_mod_p"] <= 4
@@ -63,8 +65,21 @@ def test_verify_computes_each_cycles_forms_once(monkeypatch):
     counts = count_pass_calls(monkeypatch)
     assert cycles.verify_intersection_identity(cfg).agree
     # one nullspace per cycle for its forms, one for L0 and one per L_j;
-    # the realized forms saturate the cycles' forms and run none
+    # the realized forms are the cycles' forms and run none
     assert counts["nullspace"] <= 2 * len(cfg.submodules) + 1 == 11
+
+
+def test_verify_saturates_only_the_intersections(monkeypatch):
+    sample = cycles.random_instance(seed=5, n=5, p=3, d=5, max_val=3, mode="submodules")
+    data = serialize.instance_to_json(3, sample.config.ambient, sample.config.submodules)
+    cfg = serialize.parse_instance(data)[3]
+    counts = count_pass_calls(monkeypatch)
+    assert cycles.verify_intersection_identity(cfg).agree
+    # one saturation for L0 and one per L_j: each cycle's forms are already an
+    # R-basis; the F_p fold reads the echelon that parsing kept when it
+    # checked each cycle is split, so no coordinate is reduced again
+    assert counts["saturate_coords"] <= len(cfg.submodules) + 1 == 6
+    assert counts["residue"] == 0
 
 
 def test_hyperplane_cycles_come_from_their_forms(monkeypatch):

@@ -33,6 +33,7 @@ from btpgl.padic import PAdicContext
 
 from helpers import (
     class_equal,
+    diagonal,
     exact_column_hnf,
     one_sided_bfs_dist,
     random_lattice,
@@ -82,7 +83,7 @@ def test_class_key_distinguishes_distinct_classes():
     seen = {}
     for a in range(0, 3):
         for b in range(a, 4):
-            key = class_key(std, LatticeBasis.diagonal(ctx2, [2**a, 2**b]))
+            key = class_key(std, diagonal(ctx2, [2**a, 2**b]))
             for (a2, b2), key2 in seen.items():
                 assert (key == key2) == (b - a == b2 - a2)
             seen[(a, b)] = key
@@ -92,7 +93,7 @@ def test_class_equal_examples():
     std = LatticeBasis.standard(ctx3, 2)
     assert class_equal(std, std.scale(7))
     assert class_equal(std, std.scale(3))
-    assert not class_equal(std, LatticeBasis.diagonal(ctx3, [1, 3]))
+    assert not class_equal(std, diagonal(ctx3, [1, 3]))
     rng = random.Random(47)
     for _ in range(20):
         u = random_unimodular(rng, 2, 3)
@@ -102,17 +103,17 @@ def test_class_equal_examples():
 def test_adjacent_examples():
     std = LatticeBasis.standard(ctx2, 3)
     assert not adjacent(std, std)
-    assert adjacent(std, LatticeBasis.diagonal(ctx2, [1, 1, 2]))
+    assert adjacent(std, diagonal(ctx2, [1, 1, 2]))
     std2 = LatticeBasis.standard(ctx2, 2)
-    assert not adjacent(std2, LatticeBasis.diagonal(ctx2, [1, 4]))
+    assert not adjacent(std2, diagonal(ctx2, [1, 4]))
 
 
 def test_dist_examples():
     std2 = LatticeBasis.standard(ctx3, 2)
     assert dist(std2, std2) == 0
-    assert dist(std2, LatticeBasis.diagonal(ctx3, [1, 3])) == 1
+    assert dist(std2, diagonal(ctx3, [1, 3])) == 1
     std3 = LatticeBasis.standard(ctx3, 3)
-    spread = LatticeBasis.diagonal(ctx3, [Fraction(1, 3), 1, 9])
+    spread = diagonal(ctx3, [Fraction(1, 3), 1, 9])
     assert dist(std3, spread) == 3
 
 
@@ -187,9 +188,9 @@ def test_neighbors_cap_env_override(monkeypatch):
 def test_bfs_dist_examples():
     std = LatticeBasis.standard(ctx2, 2)
     assert bfs_dist(std, std, {class_key(std, std)}, 0) == 0
-    tgt = LatticeBasis.diagonal(ctx2, [1, 4])
+    tgt = diagonal(ctx2, [1, 4])
     assert bfs_dist(std, std, {class_key(std, tgt)}, 4) == 2
-    far = LatticeBasis.diagonal(ctx2, [1, 2**5])
+    far = diagonal(ctx2, [1, 2**5])
     assert bfs_dist(std, std, {class_key(std, far)}, 3) is None
 
 
@@ -220,7 +221,7 @@ def test_in_apartment_examples():
     skew = LatticeBasis(ctx2, [(1, 1), (1, -1)])
     assert in_apartment(ctx2, frame, skew) is None
     frame3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    scaled = LatticeBasis.diagonal(ctx3, [27, 1, 1])
+    scaled = diagonal(ctx3, [27, 1, 1])
     assert in_apartment(ctx3, frame3, scaled) == (3, 0, 0)
     assert in_apartment(ctx3, frame3, scaled.scale(Fraction(1, 3))) == (3, 0, 0)
 
@@ -307,7 +308,7 @@ def test_bfs_dist_radius_zero_expands_nothing():
     # a search to radius 0 builds none of them
     ctx = PAdicContext(1000003)
     std = LatticeBasis.standard(ctx, 2)
-    other = LatticeBasis.diagonal(ctx, [1, 1000003])
+    other = diagonal(ctx, [1, 1000003])
     assert bfs_dist(std, std, {class_key(std, other)}, 0) is None
     assert bfs_dist(std, other, {class_key(std, other)}, 0) == 0
     with pytest.raises(EnumerationTooLarge):
@@ -355,7 +356,7 @@ def test_bfs_radius_bounded_by_enumeration_cap(monkeypatch):
 def test_search_gate_counts_the_targets(monkeypatch):
     # the backward frontier starts with every target class
     std = LatticeBasis.standard(ctx3, 3)
-    targets = {class_key(std, LatticeBasis.diagonal(ctx3, [1, 1, 3**k])) for k in range(1, 4)}
+    targets = {class_key(std, diagonal(ctx3, [1, 1, 3**k])) for k in range(1, 4)}
     assert search_key_bound(3, 3, 4, 3) == 2812
     monkeypatch.setenv("BTPGL_ENUM_CAP", "2811")
     with pytest.raises(EnumerationTooLarge):

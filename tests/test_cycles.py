@@ -708,7 +708,7 @@ def test_cycle_configuration_validation():
 def _reduced_points(sub):
     """The points of F_p^n in the reduced span of a cycle."""
     p = sub.ambient.ctx.p
-    cols = sub.reduction()
+    cols = [[x.numerator * pow(x.denominator, -1, p) % p for x in c] for c in sub.columns]
     return {
         tuple(sum(a * col[i] for a, col in zip(coeffs, cols)) % p for i in range(sub.ambient.dim))
         for coeffs in product(range(p), repeat=len(cols))

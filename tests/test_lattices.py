@@ -23,6 +23,7 @@ from btpgl.lattices import (
 from btpgl.padic import INFINITY, PAdicContext
 
 from helpers import (
+    diagonal,
     evaluate_coords,
     fraction_span_fold,
     greedy_complement,
@@ -115,7 +116,7 @@ def test_triangularize_matches_smith_oracle(p):
 def test_invariant_exponents_examples():
     std = LatticeBasis.standard(ctx2, 2)
     assert invariant_exponents(std, std) == (0, 0)
-    halved = LatticeBasis.diagonal(ctx2, [1, Fraction(1, 2)])
+    halved = diagonal(ctx2, [1, Fraction(1, 2)])
     assert invariant_exponents(std, halved) == (0, 1)
     std3 = LatticeBasis.standard(ctx3, 2)
     other = LatticeBasis(ctx3, [(1, 0), (1, Fraction(1, 9))])
@@ -292,32 +293,58 @@ def test_intersect_spans_edge_cases():
             assert intersect_spans(ambient, [whole]) == intersect_spans(ambient, [whole, whole])
 
 
+def _split_with_non_unit_first_pivot(rng, ambient, r):
+    """A split rank r submodule whose columns all have a p-divisible first
+    entry, nonzero in the first: p*x_k e_0 + e_{k+1} plus integral entries
+    past position r, on a seeded unimodular change of basis."""
+    n, p = ambient.dim, ambient.ctx.p
+    cols = []
+    for k in range(r):
+        c = [p * rng.randrange(1 if k == 0 else 0, 4)] + [int(i == k) for i in range(r)]
+        cols.append(c + [rng.randrange(-4, 5) * p ** rng.randrange(3) for _ in range(n - r - 1)])
+    u = random_unimodular(rng, r, p)
+    rebased = [[sum(ui[j] * c[i] for j, c in enumerate(cols)) for i in range(n)] for ui in u]
+    return SplitSubmodule(ambient, rebased)
+
+
 def test_split_submodule_forms():
-    # n - r independent forms, each vanishing on every column, so they span
-    # the forms that vanish on the submodule; computed once
+    # an R-basis pivoted on the unit minor: n - r integral forms, independent
+    # mod p, each vanishing on every column, the same module as the saturated
+    # nullspace of the columns (also when the first K-pivot is no unit);
+    # computed once
     rng = random.Random(15)
-    for trial in range(60):
-        ctx = PAdicContext(rng.choice([2, 3, 5]))
-        n = rng.randrange(2, 6)
-        ambient = LatticeBasis.standard(ctx, n) if trial % 2 else random_lattice(rng, ctx, n, 3)
-        r = rng.randrange(1, n)
-        sub = cycles._random_split(rng, ambient, r, 3)
-        forms = sub.forms()
-        assert len(forms) == n - r and linalg.rank(forms) == n - r
-        for f in forms:
-            for c in sub.columns:
-                assert sum(a * x for a, x in zip(f, c)) == 0
-        assert sub.forms() is forms
+    for p in (2, 3, 5, 7):
+        ctx = PAdicContext(p)
+        for trial in range(30):
+            n = 2 + trial % 5
+            ambient = LatticeBasis.standard(ctx, n) if trial % 2 else random_lattice(rng, ctx, n, 3)
+            r = rng.randrange(1, n)
+            if trial % 3:
+                sub = cycles._random_split(rng, ambient, r, 3)
+            else:
+                sub = _split_with_non_unit_first_pivot(rng, ambient, r)
+                assert all(ctx.val(c[0]) >= 1 for c in sub.columns) and any(c[0] for c in sub.columns)
+            forms = sub.forms()
+            assert len(forms) == n - r and all(ctx.is_integral(x) for f in forms for x in f)
+            residues = [[ctx.residue(x) for x in f] for f in forms]
+            assert len(linalg.echelon_mod_p(residues, p)[1]) == n - r
+            assert not any(map(any, linalg.matmul(sub.columns, linalg.transpose(forms))))
+            dual = LatticeBasis.standard(ctx, n)
+            old_route = saturate_coords(dual, linalg.nullspace(sub.columns))
+            assert same_submodule(SplitSubmodule(dual, forms), old_route)
+            assert sub.forms() is forms
     ambient = LatticeBasis.standard(ctx3, 3)
     zero = SplitSubmodule(ambient, ()).forms()
     assert len(zero) == 3 and linalg.rank(zero) == 3
     whole = SplitSubmodule(ambient, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert whole.forms() == ()
+    with pytest.raises(ValueError):
+        SplitSubmodule(ambient, [(3, 0, 0)]).forms()  # not split
 
 
 def test_split_submodule_given_forms():
-    # forms given as data are kept, and checked as columns are: n - rank of
-    # them, independent, each vanishing on every column
+    # forms given as data are kept, and checked: n - rank of them, integral,
+    # independent mod p, each vanishing on every column
     ambient = LatticeBasis.standard(ctx3, 3)
     plane = [(1, 0, 0), (0, 1, 3)]
     assert SplitSubmodule(ambient, plane, forms=[(0, -3, 1)]).forms() == ((0, -3, 1),)
@@ -329,10 +356,27 @@ def test_split_submodule_given_forms():
         (plane, [(0, -3, 1), (0, 3, -1)]),  # too many
         ([(1, 0, 0)], [(0, 1, 0), (0, 2, 0)]),  # dependent
         ((), [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),  # dependent
+        ([(1, 0, 0)], [(0, 1, 0), (0, 1, 3)]),  # independent over K, not mod 3
     ]
     for cols, forms in refused:
         with pytest.raises(ValueError):
             SplitSubmodule(ambient, cols, forms=forms)
+    with pytest.raises(NonIntegralEntry):
+        SplitSubmodule(ambient, [(1, 0, 0)], forms=[(0, 1, 0), (0, 0, Fraction(1, 3))])
+
+
+def _split_with_non_unit_first_pivot(rng, ambient, r):
+    """A split rank r submodule whose columns all have a p-divisible first
+    entry, nonzero in the first: p*x_k e_0 + e_{k+1} plus integral entries
+    past position r, on a seeded unimodular change of basis."""
+    n, p = ambient.dim, ambient.ctx.p
+    cols = []
+    for k in range(r):
+        c = [p * rng.randrange(1 if k == 0 else 0, 4)] + [int(i == k) for i in range(r)]
+        cols.append(c + [rng.randrange(-4, 5) * p ** rng.randrange(3) for _ in range(n - r - 1)])
+    u = random_unimodular(rng, r, p)
+    rebased = [[sum(ui[j] * c[i] for j, c in enumerate(cols)) for i in range(n)] for ui in u]
+    return SplitSubmodule(ambient, rebased)
 
 
 def test_complete_to_complement_trivial_cases():
