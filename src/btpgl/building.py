@@ -8,13 +8,17 @@ DOT export of BFS balls.  Apartment membership is distance 0 to a vertex
 family of frame lines (:func:`btpgl.cycles.nearest_family_member`).
 
 Distances in production code always go through the invariant-factor formula;
-BFS exists purely as an independent oracle.  It works on integer transition
-matrices from start to end (class keys are homothety invariant, so clearing
-denominators is free): a key's Hermite form is itself an integer transition
-of its class, so the BFS searches from both ends, from the start class and
-from the target keys, expanding the smaller frontier one layer at a time.
-The keys of a block-scaled family window come from one integer transition,
-each member's being that one with its column blocks scaled by p-powers.
+BFS exists purely as an independent oracle.  A class key is the column
+Hermite form over Z_(p) of the transition from the reference, and that form
+is itself an integer transition of its class, so every BFS frontier entry
+is a key: the start class's, the targets', and each neighbour's.  A
+neighbour's key comes from its parent's Hermite form by one triangular
+basis change per subspace of F_p^n (:func:`_neighbor_keys`), with no
+determinant and no modular elimination.  The BFS searches from both ends,
+from the start class and from the target keys, expanding the smaller
+frontier one layer at a time.  The keys of a block-scaled family window
+come from one integer transition, each member's being that one with its
+column blocks scaled by p-powers.
 
 All functions are pure and the BFS keeps only local state, so everything here
 is safe to run concurrently.
@@ -111,7 +115,8 @@ def _column_hnf_mod(p: int, rows, total: int) -> tuple:
 
 
 def _normalize_p_power(rows, p):
-    """Divide an integer matrix by the largest common p-power."""
+    """Divide an integer matrix by the largest common p-power p^s; returns
+    the quotient and s."""
     shift = None
     for row in rows:
         for x in row:
@@ -120,9 +125,9 @@ def _normalize_p_power(rows, p):
                 if shift is None or v < shift:
                     shift = v
                 if shift == 0:
-                    return rows
+                    return rows, 0
     pm = p**shift
-    return [[x // pm for x in row] for row in rows]
+    return [[x // pm for x in row] for row in rows], shift
 
 
 def _integer_transition(reference: LatticeBasis, lattice: LatticeBasis):
@@ -133,14 +138,16 @@ def _integer_transition(reference: LatticeBasis, lattice: LatticeBasis):
     t = linalg.matmul(reference.inverse_rows(), lattice.rows())
     denom = lcm(*(x.denominator for row in t for x in row))
     tz = [[int(x * denom) for x in row] for row in t]
-    return _normalize_p_power(tz, reference.ctx.p)
+    return _normalize_p_power(tz, reference.ctx.p)[0]
 
 
-def _key_from_integer_rows(p: int, tz) -> ClassKey:
+def _key_from_integer_rows(p: int, tz, total: int | None = None) -> ClassKey:
     """Class key of the lattice spanned by the columns of an integer matrix
-    already normalized to minimal entry valuation 0."""
+    already normalized to minimal entry valuation 0.  `total` is the
+    valuation of its determinant, computed here when not given."""
     n = len(tz)
-    total = int_val(linalg.int_det(tz), p)
+    if total is None:
+        total = int_val(linalg.int_det(tz), p)
     if total == 0:
         return ClassKey(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
     return ClassKey(_column_hnf_mod(p, tz, total))
@@ -162,15 +169,22 @@ def block_scaled_keys(reference: LatticeBasis, lattice: LatticeBasis, ranks, exp
     With T the integer transition to `lattice`, the member k has transition
     T * D_k, D_k = diag(p^{k_a}) blockwise; dividing by p^{min k}, a
     homothety, keeps it integral, so one transition serves every member.
+    Its determinant valuation follows from T's: dividing the scaled matrix
+    by its common power p^s, val det = val det T + sum_a rank_a*(k_a - min k)
+    - n*s, so one determinant serves every member too.
     """
     p = reference.ctx.p
+    n = reference.dim
     t = _integer_transition(reference, lattice)
+    base = int_val(linalg.int_det(t), p)
     keys = set()
     for kvec in exponent_tuples:
         lo = min(kvec)
         scales = [p ** (k - lo) for k, rank in zip(kvec, ranks) for _ in range(rank)]
         scaled = [[x * s for x, s in zip(row, scales)] for row in t]
-        keys.add(_key_from_integer_rows(p, _normalize_p_power(scaled, p)))
+        rows, s = _normalize_p_power(scaled, p)
+        total = base + sum(rank * (k - lo) for k, rank in zip(kvec, ranks)) - n * s
+        keys.add(_key_from_integer_rows(p, rows, total))
     return keys
 
 
@@ -212,42 +226,40 @@ def enumeration_cap() -> int:
     return int(raw)
 
 
-def _rref_representatives(n: int, k: int, p: int):
-    """One reduced-row-echelon basis per k-dimensional subspace of F_p^n."""
-    for pivots in combinations(range(n), k):
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivots
-        ]
-        for assignment in product(range(p), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i, pc in enumerate(pivots):
-                rows[i][pc] = 1
-            for (i, j), value in zip(free, assignment):
-                rows[i][j] = value
-            yield rows, pivots
+def _triangular_transforms(n: int, p: int):
+    """One upper-triangular basis change B_W per proper nonzero subspace W
+    of F_p^n, as sparse columns: column j is a tuple of (row, coefficient)
+    pairs, rows ascending.
 
-
-def _neighbor_transform_list(n: int, p: int):
-    """Integer basis-change matrices (as rows): right-multiplying a lattice
-    basis by each of them yields one representative per adjacent class.
-
-    Columns are the lifted echelon basis of a subspace of L/pL followed by p
-    times a completion."""
+    W is listed by its reduced echelon basis pivoted on each vector's last
+    nonzero coordinate: the vector w with pivot j has w_j = 1, zeros below j
+    and at the other pivots, and any residues at the free positions above j.
+    Reversing the coordinates turns this into the usual reduced echelon
+    form, which each subspace has exactly one of, so every W appears once.
+    B_W holds w in column j for each pivot j and p*e_j in every other
+    column.  Its columns span the lift of W plus pZ^n (p*e_j at a pivot j is
+    p*w minus p-multiples of the free e_i), so right-multiplying a basis of
+    L by B_W gives the lattice between pL and L that W names; and since w
+    vanishes below its pivot, B_W is upper triangular with diagonal 1 at the
+    pivots and p elsewhere."""
     out = []
     for k in range(1, n):
-        for rows, pivots in _rref_representatives(n, k, p):
-            cols = [list(r) for r in rows]
-            cols += [[p if i == j else 0 for i in range(n)] for j in range(n) if j not in pivots]
-            out.append(linalg.transpose(cols))
+        for pivots in combinations(range(n), k):
+            free = [(j, i) for j in pivots for i in range(j) if i not in pivots]
+            for assignment in product(range(p), repeat=len(free)):
+                cols = [[] if j in pivots else [(j, p)] for j in range(n)]
+                for (j, i), value in zip(free, assignment):
+                    if value:
+                        cols[j].append((i, value))
+                for j in pivots:
+                    cols[j].append((j, 1))
+                out.append(tuple(tuple(col) for col in cols))
     return out
 
 
 @lru_cache(maxsize=32)
 def _cached_transforms(n: int, p: int):
-    return tuple(_neighbor_transform_list(n, p))
+    return tuple(_triangular_transforms(n, p))
 
 
 def _neighbor_transforms(n: int, p: int):
@@ -259,7 +271,7 @@ def _neighbor_transforms(n: int, p: int):
         )
     if total <= _TRANSFORM_CACHE_LIMIT:
         return _cached_transforms(n, p)
-    return _neighbor_transform_list(n, p)
+    return _triangular_transforms(n, p)
 
 
 def _check_ball_size(n: int, p: int, radius: int) -> None:
@@ -303,28 +315,69 @@ def _check_search_size(n: int, p: int, radius: int, ntargets: int) -> None:
         layers.append(deg * (deg - 1) ** s)
 
 
-def _expand(p: int, t, transforms):
-    """(key, normalized integer transition) of each neighbour of the class of
-    the integer transition t, in transform order."""
-    for w in transforms:
-        nt = _normalize_p_power(linalg.matmul(t, w), p)
-        yield _key_from_integer_rows(p, nt), nt
+def _neighbor_keys(p: int, hnf, transforms):
+    """Class key of each neighbour of the class whose key has Hermite form
+    `hnf`, in transform order.
+
+    H = hnf is upper triangular with diagonal p^{e_j}, entries above it
+    reduced, and least entry valuation 0; it is an integer transition of its
+    class.  For each B_W of :func:`_triangular_transforms`, the columns of
+    H*B_W span the neighbour that W names, and H*B_W is upper triangular
+    with diagonal p^{d_j}, d_j = e_j + [j is not a pivot of W].  Column
+    operations over Z then reduce each entry (i, j) above the diagonal into
+    [0, p^{d_i}) by subtracting a multiple of column i, for i from j - 1 down
+    to 0; they keep the lattice, and an upper-triangular basis with p-power
+    diagonal and reduced entries is the unique column Hermite form over
+    Z_(p) of its lattice (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.2), the form :func:`_column_hnf_mod` computes.  The least
+    entry valuation s of a basis is the largest s with M in p^s Z_(p)^n, so
+    it is the same for every basis of M, the transition a key is normalized
+    from included; and dividing a reduced form by p^s leaves it reduced.
+    Since pL <= M <= L and L has an entry of valuation 0, s is 0 or 1: it
+    is 1 exactly when p divides every entry.  So no determinant, modulus or
+    pivot search is needed.
+    """
+    hcols = tuple(zip(*hnf))
+    n = len(hcols)
+    for bw in transforms:
+        cols = []
+        for terms in bw:
+            col = [0] * n
+            for i, c in terms:
+                hc = hcols[i]
+                for r in range(i + 1):
+                    col[r] += c * hc[r]
+            cols.append(col)
+        for j in range(1, n):
+            cj = cols[j]
+            for i in range(j - 1, -1, -1):
+                ci = cols[i]
+                c = cj[i] // ci[i]
+                if c:
+                    for r in range(i + 1):
+                        cj[r] -= c * ci[r]
+        if not any(x % p for col in cols for x in col):
+            cols = [[x // p for x in col] for col in cols]
+        yield ClassKey(tuple(zip(*cols)))
 
 
 def neighbors(reference: LatticeBasis, lattice: LatticeBasis):
     """All classes adjacent to the given one, one representative lattice each.
 
     Sublattices between pL and L correspond to nonzero proper subspaces of
-    L/pL; each echelon representative is lifted and padded with p times a
-    completion.  Keys are computed defensively: a duplicate class would be a
-    bug, so it trips an assertion.
+    L/pL; the basis of `lattice` times each triangular basis change B_W is
+    one.  Keys are computed defensively: a duplicate class would be a bug,
+    so it trips an assertion.
     """
     ctx = lattice.ctx
     transforms = _neighbor_transforms(lattice.dim, ctx.p)
-    keys = [key for key, _ in _expand(ctx.p, _integer_transition(reference, lattice), transforms)]
+    keys = list(_neighbor_keys(ctx.p, class_key(reference, lattice).hnf, transforms))
     assert len(set(keys)) == len(keys), "duplicate neighbor class"
     rows = lattice.rows()
-    return [LatticeBasis.from_rows(ctx, linalg.matmul(rows, w)) for w in transforms]
+    return [
+        LatticeBasis.from_rows(ctx, [[sum(c * r[i] for i, c in col) for col in bw] for r in rows])
+        for bw in transforms
+    ]
 
 
 def bfs_dist(
@@ -335,29 +388,29 @@ def bfs_dist(
 ) -> int | None:
     """Breadth-first distance from the start class to a set of target keys.
 
-    Searches from both ends: one side starts from the start class, the other
-    from the targets, whose Hermite forms are integer transitions of their
-    classes.  Each step expands the smaller frontier by one full layer,
-    deduplicating by class key, so the two sides have seen the balls of
-    radii a and b around their ends.  While no class lies in both, the
-    distance exceeds a + b.  When one side grows to radius a + 1, a new class
-    that the other side has seen gives a path of length a + 1 + b, and if
-    the distance is a + 1 + b, the class at distance a + 1 on a shortest
-    path is one; so the first one found gives the distance exactly.  Returns
-    None when the distance exceeds radius_cap.  This is the independent
-    oracle for the invariant-factor distance and never calls the formula.  A
-    search that may compute more class keys than the enumeration cap raises
-    EnumerationTooLarge.
+    Searches from both ends: one side starts from the start class's key, the
+    other from the target keys, and each expands a key's Hermite form into
+    its neighbours' keys (:func:`_neighbor_keys`).  Each step expands the
+    smaller frontier by one full layer, deduplicating by class key, so the
+    two sides have seen the balls of radii a and b around their ends.  While
+    no class lies in both, the distance exceeds a + b.  When one side grows
+    to radius a + 1, a new class that the other side has seen gives a path
+    of length a + 1 + b, and if the distance is a + 1 + b, the class at
+    distance a + 1 on a shortest path is one; so the first one found gives
+    the distance exactly.  Returns None when the distance exceeds
+    radius_cap.  This is the independent oracle for the invariant-factor
+    distance and never calls the formula.  A search that may compute more
+    class keys than the enumeration cap raises EnumerationTooLarge.
     """
     if radius_cap < 0:
         raise ValueError("radius_cap must be non-negative")
     p = reference.ctx.p
     other_seen = set(targets)
     _check_search_size(reference.dim, p, radius_cap, len(other_seen))
-    t0 = _integer_transition(reference, start)
-    seen, frontier = {_key_from_integer_rows(p, t0)}, [t0]
-    other_frontier = [key.hnf for key in other_seen]
-    if seen & other_seen:
+    start_key = _key_from_integer_rows(p, _integer_transition(reference, start))
+    seen, frontier = {start_key}, [start_key]
+    other_frontier = list(other_seen)
+    if start_key in other_seen:
         return 0
     depth = 0
     while frontier and other_frontier and depth < radius_cap:
@@ -367,13 +420,13 @@ def bfs_dist(
         if len(other_frontier) < len(frontier):
             seen, frontier, other_seen, other_frontier = other_seen, other_frontier, seen, frontier
         nxt = []
-        for t in frontier:
-            for key, nt in _expand(p, t, transforms):
-                if key in other_seen:
+        for key in frontier:
+            for nb_key in _neighbor_keys(p, key.hnf, transforms):
+                if nb_key in other_seen:
                     return depth
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(nt)
+                if nb_key not in seen:
+                    seen.add(nb_key)
+                    nxt.append(nb_key)
         frontier = nxt
     return None
 
@@ -383,10 +436,11 @@ def bfs_ball(reference: LatticeBasis, center: LatticeBasis, radius: int):
     order, together with the adjacency edges among them.
 
     Returns (nodes, edges) where nodes is a list of (ClassKey, LatticeBasis)
-    pairs (the lattice is a class representative) and edges is a list of key
-    pairs in deterministic discovery order.  Each class is expanded once;
-    classes on the boundary only contribute edges.  A radius whose ball may
-    exceed the enumeration cap raises EnumerationTooLarge.
+    pairs and edges is a list of key pairs in deterministic discovery order;
+    each lattice is the class representative reference * key.hnf.  Each
+    class is expanded once; classes on the boundary only contribute edges.
+    A radius whose ball may exceed the enumeration cap raises
+    EnumerationTooLarge.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -394,30 +448,27 @@ def bfs_ball(reference: LatticeBasis, center: LatticeBasis, radius: int):
     p = ctx.p
     _check_ball_size(reference.dim, p, radius)
     transforms = _neighbor_transforms(reference.dim, p) if radius else ()
-    t0 = _integer_transition(reference, center)
-    reps = [(_key_from_integer_rows(p, t0), t0)]
+    keys = [_key_from_integer_rows(p, _integer_transition(reference, center))]
     depth = [0]
-    index = {reps[0][0]: 0}
+    index = {keys[0]: 0}
     edges = []
     i = 0
-    while i < len(reps):
-        key, t = reps[i]
-        for nb_key, nt in _expand(p, t, transforms):
+    while i < len(keys):
+        key = keys[i]
+        for nb_key in _neighbor_keys(p, key.hnf, transforms):
             j = index.get(nb_key)
             if j is None:
                 if depth[i] == radius:
                     continue
-                j = index[nb_key] = len(reps)
-                reps.append((nb_key, nt))
+                j = index[nb_key] = len(keys)
+                keys.append(nb_key)
                 depth.append(depth[i] + 1)
             # an edge is new when it leads to a class expanded later
             if j > i:
                 edges.append((key, nb_key))
         i += 1
     ref_rows = reference.rows()
-    nodes = [
-        (key, LatticeBasis.from_rows(ctx, linalg.matmul(ref_rows, t))) for key, t in reps
-    ]
+    nodes = [(key, LatticeBasis.from_rows(ctx, linalg.matmul(ref_rows, key.hnf))) for key in keys]
     return nodes, edges
 
 

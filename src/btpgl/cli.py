@@ -12,6 +12,7 @@ import json
 import random
 import sys
 import time
+from functools import lru_cache
 
 from . import building, cycles, serialize
 from .errors import (
@@ -247,9 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing leaves it unchanged, so
+    every later call to :func:`main` reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

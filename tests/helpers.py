@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 from math import lcm
 
 from sympy import Matrix, ZZ
@@ -309,17 +310,68 @@ def member_window_keys(reference: LatticeBasis, family: VertexFamily):
     }
 
 
+def _rref_representatives(n: int, k: int, p: int):
+    """One reduced-row-echelon basis per k-dimensional subspace of F_p^n,
+    pivoted on each vector's first nonzero coordinate."""
+    for pivots in combinations(range(n), k):
+        free = [
+            (i, j)
+            for i in range(k)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivots
+        ]
+        for assignment in product(range(p), repeat=len(free)):
+            rows = [[0] * n for _ in range(k)]
+            for i, pc in enumerate(pivots):
+                rows[i][pc] = 1
+            for (i, j), value in zip(free, assignment):
+                rows[i][j] = value
+            yield rows, pivots
+
+
+@lru_cache(maxsize=32)
+def _neighbor_transform_list(n: int, p: int):
+    """Dense integer basis-change matrices (as rows): right-multiplying a
+    lattice basis by each of them yields one representative per adjacent
+    class.  Columns are the lifted echelon basis of a subspace of L/pL
+    followed by p times a completion.  The oracle for the triangular basis
+    changes of :func:`btpgl.building._triangular_transforms`."""
+    out = []
+    for k in range(1, n):
+        for rows, pivots in _rref_representatives(n, k, p):
+            cols = [list(r) for r in rows]
+            cols += [[p if i == j else 0 for i in range(n)] for j in range(n) if j not in pivots]
+            out.append(linalg.transpose(cols))
+    return tuple(out)
+
+
+def _expand(p: int, t, transforms):
+    """(key, normalized integer transition) of each neighbour of the class of
+    the integer transition t, in transform order: a dense product, a
+    determinant and the modular Hermite form per neighbour, the oracle for
+    :func:`btpgl.building._neighbor_keys`."""
+    for w in transforms:
+        nt = building._normalize_p_power(linalg.matmul(t, w), p)[0]
+        yield building._key_from_integer_rows(p, nt), nt
+
+
+def dense_neighbor_keys(p: int, t):
+    """Keys of the neighbours of the class of the integer transition t,
+    from the dense echelon list."""
+    return [key for key, _ in _expand(p, t, _neighbor_transform_list(len(t), p))]
+
+
 def one_sided_bfs_dist(reference: LatticeBasis, start: LatticeBasis, targets, radius_cap: int):
     """Breadth-first distance searched from the start class only, layer by
-    layer until a target key appears: the oracle for the search from both
-    ends in :func:`btpgl.building.bfs_dist`."""
+    layer until a target key appears, over the dense echelon list: the
+    oracle for the search from both ends in :func:`btpgl.building.bfs_dist`."""
     p = reference.ctx.p
     targets = set(targets)
     t0 = building._integer_transition(reference, start)
     start_key = building._key_from_integer_rows(p, t0)
     if start_key in targets:
         return 0
-    transforms = building._neighbor_transforms(reference.dim, p)
+    transforms = _neighbor_transform_list(reference.dim, p)
     seen = {start_key}
     frontier = [t0]
     depth = 0
@@ -327,7 +379,7 @@ def one_sided_bfs_dist(reference: LatticeBasis, start: LatticeBasis, targets, ra
         depth += 1
         nxt = []
         for t in frontier:
-            for key, nt in building._expand(p, t, transforms):
+            for key, nt in _expand(p, t, transforms):
                 if key in targets:
                     return depth
                 if key not in seen:

@@ -1,7 +1,7 @@
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,12 +29,16 @@ from btpgl.cycles import (
 )
 from btpgl.errors import EnumerationTooLarge
 from btpgl.lattices import LatticeBasis, saturate_coords
-from btpgl.padic import PAdicContext
+from btpgl.padic import PAdicContext, int_val
 
 from helpers import (
     class_equal,
+    _expand as dense_expand,
+    _neighbor_transform_list as dense_transforms,
+    dense_neighbor_keys,
     diagonal,
     exact_column_hnf,
+    member_window_keys,
     one_sided_bfs_dist,
     random_lattice,
     random_unimodular,
@@ -266,6 +270,38 @@ def test_bfs_ball_deterministic():
     assert first[1] == second[1]
 
 
+def test_bfs_ball_matches_the_dense_echelon_ball():
+    # the classes and edges of the ball against a search over the dense
+    # echelon list from integer transitions; each node's lattice has its key
+    rng = random.Random(5)
+    for n, p, radius, sizes in ((3, 2, 2, (113, 343)), (2, 3, 3, (53, 52)), (3, 3, 1, (27, 78))):
+        ctx = PAdicContext(p)
+        ref = random_lattice(rng, ctx, n, 1)
+        center = random_lattice(rng, ctx, n, 2)
+        nodes, edges = bfs_ball(ref, center, radius)
+        t0 = building._integer_transition(ref, center)
+        layer = {building._key_from_integer_rows(p, t0): t0}
+        ball = dict(layer)
+        for _ in range(radius):
+            layer = {
+                key: nt
+                for t in layer.values()
+                for key, nt in dense_expand(p, t, dense_transforms(n, p))
+                if key not in ball
+            }
+            ball.update(layer)
+        expected_edges = {
+            frozenset((key, nb))
+            for key, t in ball.items()
+            for nb, _ in dense_expand(p, t, dense_transforms(n, p))
+            if nb in ball
+        }
+        assert {key for key, _ in nodes} == set(ball)
+        assert {frozenset(e) for e in edges} == expected_edges
+        assert (len(nodes), len(edges)) == sizes
+        assert all(class_key(ref, lattice) == key for key, lattice in nodes)
+
+
 def test_neighbor_lift_shape():
     # every neighbor sits strictly between p*standard and standard
     from btpgl.lattices import invariant_exponents
@@ -276,23 +312,42 @@ def test_neighbor_lift_shape():
         assert sorted(set(exps)) == [0, 1]
 
 
-def test_bfs_ball_expands_each_class_once(monkeypatch):
+@contextmanager
+def counting_search_keys():
+    """Count the class keys computed inside the block: the keys computed
+    from integer transitions and the neighbour keys of the BFS."""
+    counts = [0]
+    key_from_rows = building._key_from_integer_rows
+    neighbor_keys = building._neighbor_keys
+
+    def counting(p, tz, total=None):
+        counts[0] += 1
+        return key_from_rows(p, tz, total)
+
+    def counting_neighbors(p, hnf, transforms):
+        for key in neighbor_keys(p, hnf, transforms):
+            counts[0] += 1
+            yield key
+
+    building._key_from_integer_rows = counting
+    building._neighbor_keys = counting_neighbors
+    try:
+        yield counts
+    finally:
+        building._key_from_integer_rows = key_from_rows
+        building._neighbor_keys = neighbor_keys
+
+
+def test_bfs_ball_expands_each_class_once():
     # one key for the center, then one per neighbour of every node: the
     # boundary layer is expanded only for its edges
-    calls = [0]
-    key_fn = building._key_from_integer_rows
-
-    def counting(p, tz):
-        calls[0] += 1
-        return key_fn(p, tz)
-
-    monkeypatch.setattr(building, "_key_from_integer_rows", counting)
-    for n, p, radius in ((2, 3, 2), (3, 2, 2)):
-        calls[0] = 0
-        std = LatticeBasis.standard(PAdicContext(p), n)
-        nodes, _ = bfs_ball(std, std, radius)
-        assert calls[0] == 1 + len(nodes) * neighbor_count(n, p)
-    assert calls[0] == 1583
+    with counting_search_keys() as counts:
+        for n, p, radius in ((2, 3, 2), (3, 2, 2)):
+            before = counts[0]
+            std = LatticeBasis.standard(PAdicContext(p), n)
+            nodes, _ = bfs_ball(std, std, radius)
+            assert counts[0] - before == 1 + len(nodes) * neighbor_count(n, p)
+    assert counts[0] - before == 1583
 
 
 def test_bfs_rejects_negative_radius():
@@ -365,23 +420,6 @@ def test_search_gate_counts_the_targets(monkeypatch):
     assert bfs_dist(std, std, targets, 4) == 1
 
 
-@contextmanager
-def counting_search_keys():
-    """Count the class keys computed inside the block."""
-    counts = [0]
-    key_from_rows = building._key_from_integer_rows
-
-    def counting(p, tz):
-        counts[0] += 1
-        return key_from_rows(p, tz)
-
-    building._key_from_integer_rows = counting
-    try:
-        yield counts
-    finally:
-        building._key_from_integer_rows = key_from_rows
-
-
 @settings(deadline=None, max_examples=40)
 @given(
     seed=st.integers(0, 10**6),
@@ -399,6 +437,8 @@ def test_search_keys_within_the_bound_on_random_pairs(seed, n, p, spread):
     with counting_search_keys() as counts:
         assert bfs_dist(a, a, {target}, radius) == radius
     assert counts[0] <= search_key_bound(n, p, radius, 1)
+    # the start key, and at radius > 0 at least one neighbour key
+    assert counts[0] > 1 if radius else counts[0] == 1
 
 
 def test_search_keys_within_the_bound_on_family_targets():
@@ -531,3 +571,97 @@ def test_two_sided_bfs_matches_one_sided(n, p, seed, kind):
         assert found == (distance if distance <= cap else None)
     assert bfs_dist(ref, start, set(), limit) is None
     assert bfs_dist(ref, start, targets | {class_key(ref, start)}, limit) == 0
+
+
+def _random_hermite_form(rng, n, p):
+    """A random column Hermite form over Z_(p), normalized to least entry
+    valuation 0: the Hermite form of some class key."""
+    exps = [rng.randrange(0, 4) for _ in range(n)]
+    rows = [
+        [p ** exps[i] if i == j else rng.randrange(p ** exps[i]) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return tuple(tuple(row) for row in building._normalize_p_power(rows, p)[0])
+
+
+def _dense_transform(bw):
+    """The basis change B_W as rows, from its sparse columns."""
+    n = len(bw)
+    rows = [[0] * n for _ in range(n)]
+    for j, terms in enumerate(bw):
+        for i, c in terms:
+            rows[i][j] = c
+    return rows
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(2, 4),
+    p=st.sampled_from([2, 3, 5]),
+    seed=st.integers(0, 10**6),
+)
+def test_triangular_neighbor_keys_match_the_dense_product(n, p, seed):
+    # each neighbour key from the parent's Hermite form against the modular
+    # Hermite form of the dense product, and the key set against the one the
+    # dense echelon list (pivoted on first coordinates) gives
+    rng = random.Random(seed)
+    hnf = _random_hermite_form(rng, n, p)
+    assert building._key_from_integer_rows(p, hnf).hnf == hnf
+    transforms = building._neighbor_transforms(n, p)
+    keys = list(building._neighbor_keys(p, hnf, transforms))
+    for bw, key in zip(transforms, keys, strict=True):
+        rows = _dense_transform(bw)
+        assert all(rows[i][j] == 0 for j in range(n) for i in range(j + 1, n))
+        product_rows = building._normalize_p_power(linalg.matmul(hnf, rows), p)[0]
+        assert key == building._key_from_integer_rows(p, product_rows)
+    assert len(set(keys)) == len(keys) == neighbor_count(n, p)
+    assert set(keys) == set(dense_neighbor_keys(p, hnf))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(2, 4),
+    p=st.sampled_from([2, 3, 5]),
+    seed=st.integers(0, 10**6),
+)
+def test_block_scaled_keys_take_one_determinant(n, p, seed):
+    # the family window's keys, with each member's determinant valuation
+    # computed from the zero member's, against one member lattice and one
+    # class key each
+    sample = random_instance(seed=seed, n=n, p=p, d=n, max_val=2, mode="hyperplanes")
+    fam = vertex_family(sample.config)
+    ref = sample.config.ambient
+    m = len(fam.generators)
+    zero = fam.member_lattice((0,) * m)
+    s = 2 * dist(ref, zero)
+    ranks = [g.rank for g in fam.generators]
+    window = [k for k in product(range(s + 1), repeat=m) if 0 in k]
+    # tuples that are shifted, negative or without a 0, against a random
+    # reference, so a member's scaled transition can have a common p-power
+    shifted = list(product(range(-1, 3), repeat=m))
+    other = random_lattice(random.Random(seed), PAdicContext(p), n, 2)
+    calls = [0]
+    given = []
+    int_det = linalg.int_det
+    key_from_rows = building._key_from_integer_rows
+
+    def counting(rows):
+        calls[0] += 1
+        return int_det(rows)
+
+    def recording(p, tz, total=None):
+        given.append((tz, total))
+        return key_from_rows(p, tz, total)
+
+    linalg.int_det = counting
+    building._key_from_integer_rows = recording
+    try:
+        keys = building.block_scaled_keys(ref, zero, ranks, window)
+        shifted_keys = building.block_scaled_keys(other, zero, ranks, shifted)
+    finally:
+        linalg.int_det = int_det
+        building._key_from_integer_rows = key_from_rows
+    assert calls[0] == 2
+    assert all(total == int_val(int_det(tz), p) for tz, total in given)
+    assert keys == member_window_keys(ref, fam)
+    assert shifted_keys == {class_key(other, fam.member_lattice(k)) for k in shifted}

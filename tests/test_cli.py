@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from btpgl import cycles
+from btpgl import cli, cycles
 from btpgl.cli import main
 from btpgl.padic import PRIME_BOUND
 
@@ -142,6 +142,30 @@ def test_dist_modes(tmp_path, capsys):
 
     assert main(["dist", path, "--oracle", "bfs"]) == 0
     assert capsys.readouterr().out.strip() == "4"
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    # parsing leaves the parser unchanged, so every call to main reuses the
+    # one the first call built; exit codes do not depend on it
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        path = write(tmp_path / "pair.json", pair_instance(2, [1, 16]))
+        assert main(["dist", path, "--oracle", "both"]) == 0
+        assert capsys.readouterr().out.split() == ["4", "4"]
+        assert main(["dist", str(tmp_path / "missing.json")]) == 1
+        assert main(["dist", path]) == 0
+        assert capsys.readouterr().out.split() == ["4"]
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_verify_small_campaign(capsys):
