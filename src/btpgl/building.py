@@ -135,7 +135,7 @@ def _integer_transition(reference: LatticeBasis, lattice: LatticeBasis):
     normalized by the common p-power (both scalings are homotheties)."""
     if reference.ctx.p != lattice.ctx.p or reference.dim != lattice.dim:
         raise ValueError("lattices live in different spaces")
-    t = linalg.matmul(reference.inverse_rows(), lattice.rows())
+    t = linalg.solve(reference.rows(), lattice.rows())
     denom = lcm(*(x.denominator for row in t for x in row))
     tz = [[int(x * denom) for x in row] for row in t]
     return _normalize_p_power(tz, reference.ctx.p)[0]

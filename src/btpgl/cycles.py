@@ -28,8 +28,9 @@ from functools import cached_property
 from itertools import product
 
 from . import linalg
-from .building import block_scaled_keys, dist
+from .building import block_scaled_keys, dist, enumeration_cap
 from .errors import (
+    EnumerationTooLarge,
     GenerationExhausted,
     ImproperGenericIntersection,
     ProperFail,
@@ -340,10 +341,11 @@ def nearest_family_member(lattice: LatticeBasis, family: VertexFamily):
     ambient = family.ambient
     ctx = ambient.ctx
     f = linalg.transpose(family.concatenated_columns())
-    t, t_inv = linalg.inv(f), f
-    if lattice != ambient:
-        t = linalg.matmul(t, linalg.matmul(ambient.inverse_rows(), lattice.rows()))
-        t_inv = linalg.matmul(linalg.matmul(lattice.inverse_rows(), ambient.rows()), f)
+    if lattice == ambient:
+        t, t_inv = linalg.inv(f), f
+    else:
+        mf, rows = linalg.matmul(ambient.rows(), f), lattice.rows()
+        t, t_inv = linalg.solve(mf, rows), linalg.solve(rows, mf)
     v, u = [], []
     start = 0
     for g in family.generators:
@@ -360,28 +362,37 @@ def distance_to_family(lattice: LatticeBasis, family: VertexFamily) -> int:
     return nearest_family_member(lattice, family)[0]
 
 
+def _window(reference: LatticeBasis, family: VertexFamily):
+    """The all-zero member, S = 2*B0 and the window's size of
+    :func:`family_window_keys`: (S+1)^m - S^m tuples, and distinct tuples
+    are distinct classes."""
+    m = len(family.generators)
+    zero = family.member_lattice((0,) * m)
+    s = 2 * dist(reference, zero)
+    return zero, s, (s + 1) ** m - s**m
+
+
 def family_window_keys(reference: LatticeBasis, family: VertexFamily):
     """Class keys of every family member in the exactness window around the
     reference, for use as a BFS target set.  With B0 the distance to the
     all-zero member, a member's distance to it is its exponent spread, so
     every nearest member has spread at most S = 2*B0: up to homothety, a
-    tuple in [0, S]^m that contains 0.  The whole window is enumerated.  Each
-    member is the all-zero member with its generator blocks scaled, so its
-    key comes from one integer transition (:func:`block_scaled_keys`)."""
-    m = len(family.generators)
-    zero = family.member_lattice((0,) * m)
-    s = 2 * dist(reference, zero)
-    window = (k for k in product(range(s + 1), repeat=m) if 0 in k)
+    tuple in [0, S]^m that contains 0.  The whole window is enumerated, and
+    a window of more keys than the enumeration cap raises
+    EnumerationTooLarge before any key is built.  Each member is the
+    all-zero member with its generator blocks scaled, so its key comes from
+    one integer transition (:func:`block_scaled_keys`)."""
+    zero, s, size = _window(reference, family)
+    cap = enumeration_cap()
+    if size > cap:
+        raise EnumerationTooLarge(f"a family window of {size} keys exceeds the cap of {cap}")
+    window = (k for k in product(range(s + 1), repeat=len(family.generators)) if 0 in k)
     return block_scaled_keys(reference, zero, [g.rank for g in family.generators], window)
 
 
 def family_window_size(reference: LatticeBasis, family: VertexFamily) -> int:
-    """Number of keys :func:`family_window_keys` returns, without building
-    them: (S+1)^m - S^m window tuples, and distinct tuples are distinct
-    classes."""
-    m = len(family.generators)
-    s = 2 * dist(reference, family.member_lattice((0,) * m))
-    return (s + 1) ** m - s**m
+    """Number of keys :func:`family_window_keys` returns, without building them."""
+    return _window(reference, family)[2]
 
 
 def realized_forms(cfg: CycleConfiguration):

@@ -38,16 +38,15 @@ class LatticeBasis:
     the basis matrix must have nonzero determinant.  Instances are immutable.
     """
 
-    __slots__ = ("ctx", "dim", "columns", "_rows", "_inv_rows")
+    __slots__ = ("ctx", "dim", "columns", "_rows")
 
     def __init__(self, ctx: PAdicContext, columns):
         cols = tuple(_to_fraction_vector(c, len(columns)) for c in columns)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "dim", len(cols))
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "_rows", None)
-        object.__setattr__(self, "_inv_rows", None)
-        if linalg.det(self.rows()) == 0:
+        object.__setattr__(self, "_rows", [list(row) for row in zip(*cols)])
+        if linalg.det(self._rows) == 0:
             raise ValueError("columns do not span K^n")
 
     def __setattr__(self, name, value):
@@ -63,16 +62,7 @@ class LatticeBasis:
 
     def rows(self):
         """Basis matrix as list of rows (entry [i][j] = i-th coordinate of vector j)."""
-        if self._rows is None:
-            object.__setattr__(
-                self, "_rows", [[self.columns[j][i] for j in range(self.dim)] for i in range(self.dim)]
-            )
         return self._rows
-
-    def inverse_rows(self):
-        if self._inv_rows is None:
-            object.__setattr__(self, "_inv_rows", linalg.inv(self.rows()))
-        return self._inv_rows
 
     def scale(self, scalar) -> "LatticeBasis":
         s = Fraction(scalar)
@@ -319,7 +309,7 @@ def invariant_exponents(ambient: LatticeBasis, other: LatticeBasis) -> tuple:
     """
     if ambient.ctx.p != other.ctx.p or ambient.dim != other.dim:
         raise ValueError("lattices live in different spaces")
-    t = linalg.matmul(other.inverse_rows(), ambient.rows())
+    t = linalg.solve(other.rows(), ambient.rows())
     exps = _eliminate(ambient.ctx, t)[1]
     if len(exps) < len(t):
         raise SingularTransition("matrix is singular over K")
@@ -368,6 +358,13 @@ def intersect_spans(ambient: LatticeBasis, submodules) -> SplitSubmodule:
     return saturate_coords(ambient, linalg.nullspace(forms, n))
 
 
+def _coordinates(dst: SplitSubmodule, src: SplitSubmodule):
+    """Coordinates of src's columns in dst's basis, one column each, or None
+    when a column lies outside dst's K-span."""
+    b, a = ([[c[i] for c in s.columns] for i in range(dst.ambient.dim)] for s in (dst, src))
+    return linalg.solve(b, a)
+
+
 def complete_to_complement(outer: SplitSubmodule, inner: SplitSubmodule) -> SplitSubmodule:
     """Direct-sum complement of a split inner submodule inside an outer one.
 
@@ -383,16 +380,13 @@ def complete_to_complement(outer: SplitSubmodule, inner: SplitSubmodule) -> Spli
     if outer.ambient != inner.ambient:
         raise ValueError("submodules must share the ambient lattice")
     ctx = outer.ambient.ctx
-    coords = []
-    for col in inner.columns:
-        x = linalg.solve_columns([list(c) for c in outer.columns], list(col))
-        if x is None:
-            raise NotSplitInside("inner submodule does not lie in the outer span")
-        for entry in x:
-            if not ctx.is_integral(entry):
-                raise NotSplitInside("inner submodule is not contained in the outer module")
-        coords.append([ctx.residue(entry) for entry in x])
-    pivots = linalg.echelon_mod_p([v[::-1] for v in coords], ctx.p)[1]
+    x = _coordinates(outer, inner)
+    if x is None:
+        raise NotSplitInside("inner submodule does not lie in the outer span")
+    if not all(ctx.is_integral(e) for row in x for e in row):
+        raise NotSplitInside("inner submodule is not contained in the outer module")
+    coords = [[ctx.residue(e) for e in reversed(col)] for col in zip(*x)]
+    pivots = linalg.echelon_mod_p(coords, ctx.p)[1]
     if len(pivots) != inner.rank:
         raise NotSplitInside("inner submodule is not split inside the outer one")
     kept = [c for i, c in enumerate(reversed(outer.columns)) if i not in pivots]
@@ -403,14 +397,11 @@ def same_submodule(a: SplitSubmodule, b: SplitSubmodule) -> bool:
     """True iff the two submodules are equal as R-modules."""
     if a.ambient != b.ambient or a.rank != b.rank:
         return False
-    if a.rank == 0:
-        return True
     ctx = a.ambient.ctx
     for src, dst in ((a, b), (b, a)):
-        for col in src.columns:
-            x = linalg.solve_columns([list(c) for c in dst.columns], list(col))
-            if x is None or not all(ctx.is_integral(e) for e in x):
-                return False
+        x = _coordinates(dst, src)
+        if x is None or not all(ctx.is_integral(e) for row in x for e in row):
+            return False
     return True
 
 
@@ -433,6 +424,5 @@ def transform_dual_form(b_rows, form: DualForm) -> DualForm:
     d = linalg.det(rows)
     if d == 0 or ctx.val(d) != 0:
         raise NotUnimodular(f"determinant {d} is not a unit")
-    bt_inv = linalg.inv(linalg.transpose(rows))
-    coeffs = linalg.matvec(bt_inv, list(form.coefficients))
-    return DualForm(form.ambient, tuple(coeffs))
+    coeffs = linalg.solve(linalg.transpose(rows), [[a] for a in form.coefficients])
+    return DualForm(form.ambient, tuple(row[0] for row in coeffs))

@@ -7,12 +7,13 @@ one integer kernel: each row is scaled by the lcm of its denominators, and a
 fraction-free Gauss-Jordan elimination (pivot on the first nonzero entry,
 clear by cross-multiplication, divide each new row by its content) leaves
 rows proportional to the reduced row echelon form.  Fractions are built only
-from its final entries.  The reduced form, the inverse and the solution of a
-uniquely solvable system do not depend on how the rows were scaled, so the
-outputs equal those of an elimination in Fractions.  The determinant is the
-Bareiss determinant of the row-scaled matrix divided by the product of the
-scales.  Mod-p routines work on list-of-rows matrices of ints and return
-canonical reduced echelon data.
+from its final entries.  The reduced form and the solution of a uniquely
+solvable system do not depend on how the rows were scaled, so the outputs
+equal those of an elimination in Fractions.  :func:`solve` is the one solver:
+every change of basis B^{-1} A, the inverse included, is one elimination of
+[B | A].  The determinant is the Bareiss determinant of the row-scaled matrix
+divided by the product of the scales.  Mod-p routines work on list-of-rows
+matrices of ints and return canonical reduced echelon data.
 """
 
 from __future__ import annotations
@@ -127,18 +128,29 @@ def det(a) -> Fraction:
     return Fraction(_bareiss(list(rows)), prod(scales))
 
 
+def solve(b, a):
+    """X with B X = A, for B n x r and A n x k given as n rows each, or None
+    when B's columns are dependent or a column of A lies outside their span.
+
+    Scaling a row of [B | A] keeps the system, so each is scaled to integers
+    and one elimination runs on B's columns.  With independent columns it
+    leaves their identity, up to each row's pivot, over the first r rows, and
+    zeros below them: X is read off the right half above, and A's columns lie
+    in B's span iff the right half below is zero.
+    """
+    r = len(b[0]) if b else 0
+    aug = [_scaled_row([*brow, *arow])[1] for brow, arow in zip(b, a, strict=True)]
+    if len(_int_rref(aug, r)) < r or any(any(row[r:]) for row in aug[r:]):
+        return None
+    return [[Fraction(x, row[i]) for x in row[r:]] for i, row in enumerate(aug[:r])]
+
+
 def inv(a):
     n = len(a)
-    # [sA | s], s the diagonal of row scales, has the same reduced form as [A | I]
-    aug = []
-    for i, row in enumerate(a):
-        s, srow = _scaled_row(row)
-        srow += [0] * n
-        srow[n + i] = s
-        aug.append(srow)
-    if len(_int_rref(aug, n)) < n:
+    x = solve(a, [[int(i == j) for j in range(n)] for i in range(n)])
+    if x is None:
         raise ValueError("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
+    return x
 
 
 def rank(a) -> int:
@@ -160,21 +172,6 @@ def nullspace(a, cols=None):
             v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
-
-
-def solve_columns(cols, target):
-    """Coefficients x with sum x_j * cols[j] = target, or None if inconsistent.
-
-    Assumes the columns are linearly independent, so the solution is unique
-    when it exists.
-    """
-    if not cols:
-        return [] if all(t == 0 for t in target) else None
-    r = len(cols)
-    aug = [_scaled_row([c[i] for c in cols] + [target[i]])[1] for i in range(len(cols[0]))]
-    if len(_int_rref(aug, r)) < r or any(row[r] for row in aug[r:]):
-        return None
-    return [Fraction(row[r], row[i]) for i, row in enumerate(aug[:r])]
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def class_equal(l1: LatticeBasis, l2: LatticeBasis) -> bool:
     if l1.ctx.p != l2.ctx.p or l1.dim != l2.dim:
         raise ValueError("lattices live in different spaces")
     ctx = l1.ctx
-    t = linalg.matmul(l1.inverse_rows(), l2.rows())
+    t = linalg.matmul(linalg.inv(l1.rows()), l2.rows())
     m = min(ctx.val(x) for row in t for x in row if x)
     return ctx.val(linalg.det(t)) == l1.dim * m
 
@@ -210,7 +210,7 @@ def family_profile(lattice: LatticeBasis, family: VertexFamily) -> MinorValuatio
     cols = family.concatenated_columns()
     t0 = linalg.inv(linalg.transpose(cols))
     if lattice != ambient:
-        rel = linalg.matmul(ambient.inverse_rows(), lattice.rows())
+        rel = linalg.matmul(linalg.inv(ambient.rows()), lattice.rows())
         t0 = linalg.matmul(t0, rel)
     row_block = []
     for b, g in enumerate(family.generators):
@@ -589,7 +589,7 @@ def greedy_complement(outer: SplitSubmodule, inner: SplitSubmodule):
         return False
 
     for col in inner.columns:
-        x = linalg.solve_columns([list(c) for c in outer.columns], list(col))
+        x = fraction_solve_columns([list(c) for c in outer.columns], list(col))
         if x is None or not all(ctx.is_integral(e) for e in x):
             return None
         add([ctx.residue(e) for e in x])

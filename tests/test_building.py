@@ -112,6 +112,35 @@ def test_adjacent_examples():
     assert not adjacent(std2, diagonal(ctx2, [1, 4]))
 
 
+def test_keys_and_distances_take_one_solve_and_no_inverse(monkeypatch):
+    # class_key, dist and bfs_dist's start key each form their transition
+    # with one linalg.solve: no whole inverse and no product
+    rng = random.Random(8)
+    pairs = [
+        (random_lattice(rng, ctx, n, 2), random_lattice(rng, ctx, n, 3))
+        for ctx in (ctx2, ctx3)
+        for n in (2, 3, 4)
+    ]
+    calls = []
+    for name in ("inv", "matmul", "solve"):
+
+        def counted(*args, _real=getattr(linalg, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    for reference, lattice in pairs:
+        for op in (
+            lambda: class_key(reference, lattice),
+            lambda: dist(reference, lattice),
+            # no targets: the search computes the start key and stops
+            lambda: bfs_dist(reference, lattice, set(), 0),
+        ):
+            calls.clear()
+            op()
+            assert calls == ["solve"]
+
+
 def test_dist_examples():
     std2 = LatticeBasis.standard(ctx3, 2)
     assert dist(std2, std2) == 0

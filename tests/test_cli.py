@@ -450,6 +450,41 @@ def hyperplane_instance(p, rows):
     }
 
 
+def wide_instance():
+    # PROPER_0DIM with number 12 at n = 5: the distance B0 to the family's
+    # all-zero member is 12, so its window holds 25^5 - 24^5 = 1,803,001
+    # keys, above the default cap
+    rows = [[int(i == j) for i in range(5)] for j in range(4)] + [[0, 0, 0, 1, 4096]]
+    return hyperplane_instance(2, rows)
+
+
+def test_export_dot_refuses_an_oversized_family_window(tmp_path, capsys, monkeypatch):
+    inst = write(tmp_path / "wide.json", wide_instance())
+    assert main(["intersect", inst]) == 0
+    assert json.loads(capsys.readouterr().out) == {"number": 12}
+
+    def no_keys(*args):
+        raise AssertionError("a window key was built past the cap")
+
+    monkeypatch.setattr(cycles, "block_scaled_keys", no_keys)
+    start = time.perf_counter()
+    rc = main(["export-dot", "--radius", "0", "--instance", inst, "--out", str(tmp_path / "wide")])
+    assert time.perf_counter() - start < 5.0
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("EnumerationTooLarge:") and "1803001" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap, code", [("9", 0), ("8", 4)])
+def test_export_dot_family_window_cap_edge(tmp_path, capsys, monkeypatch, cap, code):
+    # the family window of manin_instance(2, 2) holds 5^2 - 4^2 = 9 keys
+    monkeypatch.setenv("BTPGL_ENUM_CAP", cap)
+    inst = write(tmp_path / "inst.json", manin_instance(2, 2))
+    assert main(["export-dot", "--radius", "0", "--instance", inst, "--out", str(tmp_path / "x")]) == code
+    assert ("EnumerationTooLarge" in capsys.readouterr().err) == (code == 4)
+
+
 def axes_instance(p, n):
     # the coordinate axes: rank-one cycles whose codimensions sum to n(n-1)
     return {

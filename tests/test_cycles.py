@@ -792,3 +792,31 @@ def test_properness_matches_an_independent_oracle(monkeypatch):
         kinds.add(kind)
     assert all(properness_check(cfg).kind is Properness.IMPROPER for cfg in built)
     assert kinds == set(Properness)
+
+
+def test_split_configuration_has_the_same_family_distance():
+    # Cut a proper 0-dim submodule configuration into the n hyperplanes of
+    # its realized forms.  The form matrix is the same, and each cycle's
+    # reduction is the common zero set of its forms mod p, so the split one
+    # is PROPER_0DIM with the same lhs; its rhs, the distance to the family
+    # of n lines, must then equal the distance to the family of d blocks.
+    # A block is the saturation of its lines' sum, which can be larger than
+    # the sum, so the equality is not automatic; some draws must show that.
+    larger = 0
+    for n in (3, 4, 5):
+        for p in (2, 3, 5):
+            for seed in range(1, 41):
+                cfg = random_instance(seed, n, p, 2 + seed % (n - 1), max_val=4, mode="submodules").config
+                forms = realized_forms(cfg)
+                split = CycleConfiguration(cfg.ambient, [hyperplane_kernel(f) for f in forms])
+                assert properness_check(split).kind is Properness.PROPER_0DIM
+                blocks, lines = vertex_family(cfg), vertex_family(split)
+                rhs = distance_to_family(cfg.ambient, blocks)
+                assert distance_to_family(cfg.ambient, lines) == rhs == intersect_hyperplanes(forms)
+                sums, start = [], 0
+                for s in cfg.submodules:
+                    group = lines.generators[start : start + n - s.rank]
+                    start += n - s.rank
+                    sums.append(SplitSubmodule(cfg.ambient, [c for line in group for c in line.columns]))
+                larger += not all(map(same_submodule, sums, blocks.generators))
+    assert larger > 0

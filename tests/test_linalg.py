@@ -47,10 +47,19 @@ def test_nullspace_annihilates():
         assert all(x == 0 for x in linalg.matvec(a, v))
 
 
+def solve_column(cols, target):
+    """:func:`linalg.solve` for one right-hand side, in the shape of
+    :func:`fraction_solve_columns`: the coefficients of target in the given
+    columns, or None."""
+    n = len(target)
+    x = linalg.solve([[c[i] for c in cols] for i in range(n)], [[t] for t in target])
+    return None if x is None else [row[0] for row in x]
+
+
 def test_solve_columns():
     cols = [[1, 0, 1], [0, 1, 1]]
-    assert linalg.solve_columns(cols, [2, 3, 5]) == [2, 3]
-    assert linalg.solve_columns(cols, [1, 0, 0]) is None
+    assert solve_column(cols, [2, 3, 5]) == [2, 3]
+    assert solve_column(cols, [1, 0, 0]) is None
 
 
 def test_echelon_and_nullspace_mod_p():
@@ -163,14 +172,68 @@ def test_solve_columns_matches_fraction_elimination(a, data):
     inside = linalg.matvec(a, [data.draw(e) for _ in cols])
     outside = [data.draw(e) for _ in a]
     for target in (inside, outside):
-        assert same(linalg.solve_columns(cols, target), fraction_solve_columns(cols, target))
+        assert same(solve_column(cols, target), fraction_solve_columns(cols, target))
 
 
 def test_solve_columns_inconsistent_target_with_large_entries():
     p40 = 3**40
     cols = [[p40, 0, 1], [0, Fraction(1, p40), 1]]
     target = [p40, 0, 0]
-    assert linalg.solve_columns(cols, target) is None
+    assert solve_column(cols, target) is None
     assert fraction_solve_columns(cols, target) is None
     target = [2 * p40, Fraction(3, p40), 5]
-    assert same(linalg.solve_columns(cols, target), [Fraction(2), Fraction(3)])
+    assert same(solve_column(cols, target), [Fraction(2), Fraction(3)])
+
+
+@st.composite
+def systems(draw):
+    """(B, A): B of n rows and r <= n columns, square half the time and
+    often with a dependent last column; A of n rows and 0..3 columns, each
+    in B's span or drawn freely, so that it usually lies outside."""
+    e = entries(draw(st.sampled_from((2, 3, 5))))
+    n = draw(st.integers(1, 5))
+    r = n if draw(st.booleans()) else draw(st.integers(0, n))
+    b_cols = [[draw(e) for _ in range(n)] for _ in range(r)]
+    if r >= 2 and draw(st.booleans()):
+        x = draw(st.integers(-3, 3))
+        b_cols[-1] = [x * u + v for u, v in zip(b_cols[0], b_cols[1])]
+    a_cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            coeffs = [draw(e) for _ in b_cols]
+            a_cols.append([sum((c * v[i] for c, v in zip(coeffs, b_cols)), Fraction(0)) for i in range(n)])
+        else:
+            a_cols.append([draw(e) for _ in range(n)])
+    return tuple([[c[i] for c in cols] for i in range(n)] for cols in (b_cols, a_cols))
+
+
+@settings(deadline=None, max_examples=200)
+@given(systems())
+def test_solve_matches_the_fraction_oracles(system):
+    b, a = system
+    n, r, k = len(b), len(b[0]), len(a[0])
+    x = linalg.solve(b, a)
+    b_cols = linalg.transpose(b)
+    oracle = [fraction_solve_columns(b_cols, [row[j] for row in a]) for j in range(k)]
+    if fraction_rank(b) < r or None in oracle:
+        assert x is None
+    else:
+        assert len(x) == r and all(len(row) == k for row in x)
+        assert all(same([row[j] for row in x], oracle[j]) for j in range(k))
+    if r == n:
+        b_inv = inverse_or_singular(fraction_inv, b)
+        expected = None if b_inv == "singular" else linalg.matmul(b_inv, a)
+        assert same(x, expected and [[Fraction(v) for v in row] for row in expected])
+
+
+def test_solve_edge_shapes():
+    b = [[1, 0], [0, 3], [1, 1]]
+    assert linalg.solve(b, [[], [], []]) == [[], []]
+    assert linalg.solve([], []) == []
+    assert linalg.solve([[], []], [[0], [0]]) == []
+    assert linalg.solve([[], []], [[0], [1]]) is None
+    # one column inside the span and one outside: no solution
+    assert linalg.solve(b, [[1, 1], [3, 0], [2, 0]]) is None
+    assert linalg.solve(b, [[1], [3], [2]]) == [[1], [1]]
+    with pytest.raises(ValueError):
+        linalg.solve(b, [[1], [3]])
