@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
@@ -468,8 +469,18 @@ def bfs_ball(reference: LatticeBasis, center: LatticeBasis, radius: int):
                 edges.append((key, nb_key))
         i += 1
     ref_rows = reference.rows()
-    nodes = [(key, LatticeBasis.from_rows(ctx, linalg.matmul(ref_rows, key.hnf))) for key in keys]
+    nodes = [(key, _key_lattice(ctx, ref_rows, key)) for key in keys]
     return nodes, edges
+
+
+def _key_lattice(ctx, ref_rows, key: ClassKey) -> LatticeBasis:
+    """The representative reference * H of a key's class.  H is triangular
+    with a p-power diagonal, so the product is nonsingular and needs no
+    determinant check.  An entry with no nonzero product is int 0 (see
+    :func:`linalg.matmul`), made a Fraction here."""
+    zero = Fraction(0)
+    cols = zip(*linalg.matmul(ref_rows, key.hnf))
+    return LatticeBasis._trusted(ctx, tuple(tuple(x or zero for x in c) for c in cols))
 
 
 def render_dot(nodes, edges, highlighted=None) -> str:

@@ -225,12 +225,18 @@ def hyperplane_kernel(form: DualForm) -> SplitSubmodule:
     are integral and a kills them.  Mod p they hold the identity off
     coordinate j, so they span a split rank n-1 submodule of ker a: its
     saturation.  The forms vanishing on it are the c*a, c in K, and c*a is
-    integral iff c*a_j is, iff c is; so R*a is every integral one.
+    integral iff c*a_j is, iff c is; so R*a is every integral one.  This
+    proves every check of the public constructor, so the module skips them.
     """
     a, n = form.coefficients, form.ambient.dim
     j = next(i for i in range(n) if form.ambient.ctx.is_unit(a[i]))
-    cols = [[-a[i] / a[j] if k == j else int(k == i) for k in range(n)] for i in range(n) if i != j]
-    return SplitSubmodule(form.ambient, cols, forms=(a,))
+    zero, one = Fraction(0), Fraction(1)
+    cols = tuple(
+        tuple(-a[i] / a[j] if k == j else one if k == i else zero for k in range(n))
+        for i in range(n)
+        if i != j
+    )
+    return SplitSubmodule._trusted(form.ambient, cols, forms=(a,))
 
 
 def intersect_hyperplanes(forms) -> int:

@@ -5,6 +5,20 @@ invariant-factor exponents of lattice pairs, split submodules, saturation of
 K-spans, direct-sum complements, and the dual-form transform under a
 unimodular automorphism.
 
+The public constructors check their input: a basis's determinant is
+nonzero; a submodule's entries are p-integral, its columns K-independent and
+its given forms valid.  Values the library builds itself are valid by
+construction, so they take private constructors that check nothing:
+
+* ``LatticeBasis._trusted``: the standard basis, and each node of a BFS
+  ball, reference * H with H triangular with a p-power diagonal
+  (:func:`btpgl.building.bfs_ball`), are nonsingular.
+* ``SplitSubmodule._trusted``: the kernel of a primitive form, with that form
+  as its forms (the proof is in :func:`btpgl.cycles.hyperplane_kernel`); a
+  saturation, whose columns are the first r columns of the unimodular
+  C^{-1} of :func:`_eliminate`; and a complement, whose columns are some of
+  an already checked module's.
+
 All operations are pure functions on immutable values and are therefore
 thread-safe.
 """
@@ -25,7 +39,7 @@ from .padic import PAdicContext
 
 
 def _to_fraction_vector(v, n: int):
-    vec = tuple(Fraction(x) for x in v)
+    vec = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
     if len(vec) != n:
         raise ValueError(f"expected vector of length {n}, got {len(vec)}")
     return vec
@@ -41,20 +55,31 @@ class LatticeBasis:
     __slots__ = ("ctx", "dim", "columns", "_rows")
 
     def __init__(self, ctx: PAdicContext, columns):
-        cols = tuple(_to_fraction_vector(c, len(columns)) for c in columns)
+        self._set(ctx, tuple(_to_fraction_vector(c, len(columns)) for c in columns))
+        if linalg.det(self._rows) == 0:
+            raise ValueError("columns do not span K^n")
+
+    def _set(self, ctx: PAdicContext, cols: tuple) -> None:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "dim", len(cols))
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "_rows", [list(row) for row in zip(*cols)])
-        if linalg.det(self._rows) == 0:
-            raise ValueError("columns do not span K^n")
+
+    @classmethod
+    def _trusted(cls, ctx: PAdicContext, columns: tuple) -> "LatticeBasis":
+        """A basis from columns that are tuples of Fractions and known to
+        span K^n, built without the determinant check."""
+        basis = cls.__new__(cls)
+        basis._set(ctx, columns)
+        return basis
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeBasis is immutable")
 
     @classmethod
     def standard(cls, ctx: PAdicContext, n: int) -> "LatticeBasis":
-        return cls(ctx, [[1 if i == j else 0 for i in range(n)] for j in range(n)])
+        zero, one = Fraction(0), Fraction(1)
+        return cls._trusted(ctx, tuple(tuple(one if i == j else zero for i in range(n)) for j in range(n)))
 
     @classmethod
     def from_rows(cls, ctx: PAdicContext, rows) -> "LatticeBasis":
@@ -112,10 +137,22 @@ class SplitSubmodule:
                 raise ValueError(f"need {n - len(cols)} forms independent mod p")
             if forms and any(map(any, linalg.matmul(cols, linalg.transpose(forms)))):
                 raise ValueError("a form does not vanish on the submodule")
+        self._set(ambient, cols, forms)
+
+    def _set(self, ambient: LatticeBasis, cols: tuple, forms) -> None:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "_forms", forms)
         object.__setattr__(self, "_echelon", None)
+
+    @classmethod
+    def _trusted(cls, ambient: LatticeBasis, columns: tuple, forms=None) -> "SplitSubmodule":
+        """A submodule built without any check, for columns (and forms, when
+        given) that are tuples of Fractions and split by construction; the
+        module docstring lists the callers and their proofs."""
+        sub = cls.__new__(cls)
+        sub._set(ambient, columns, forms)
+        return sub
 
     def __setattr__(self, name, value):
         raise AttributeError("SplitSubmodule is immutable")
@@ -332,11 +369,11 @@ def saturate_coords(ambient: LatticeBasis, kvectors) -> SplitSubmodule:
     vecs = [_to_fraction_vector(v, n) for v in kvectors]
     vecs = [v for v in vecs if any(v)]
     if not vecs:
-        return SplitSubmodule(ambient, ())
+        return SplitSubmodule._trusted(ambient, ())
     u = [[v[i] for v in vecs] for i in range(n)]
     p_cols = linalg.identity(n)
     r = len(_eliminate(ctx, u, p_cols)[1])
-    return SplitSubmodule(ambient, tuple(tuple(c) for c in p_cols[:r]))
+    return SplitSubmodule._trusted(ambient, tuple(tuple(c) for c in p_cols[:r]))
 
 
 def intersect_spans(ambient: LatticeBasis, submodules) -> SplitSubmodule:
@@ -390,7 +427,7 @@ def complete_to_complement(outer: SplitSubmodule, inner: SplitSubmodule) -> Spli
     if len(pivots) != inner.rank:
         raise NotSplitInside("inner submodule is not split inside the outer one")
     kept = [c for i, c in enumerate(reversed(outer.columns)) if i not in pivots]
-    return SplitSubmodule(outer.ambient, tuple(reversed(kept)))
+    return SplitSubmodule._trusted(outer.ambient, tuple(reversed(kept)))
 
 
 def same_submodule(a: SplitSubmodule, b: SplitSubmodule) -> bool:

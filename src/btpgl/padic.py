@@ -95,6 +95,12 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+def _rational(x):
+    """x itself when it is an int or a Fraction, which already carry a
+    numerator and a positive denominator in lowest terms; else Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 @dataclass(frozen=True)
 class PAdicContext:
     """The prime p, fixing the valuation ring Z localized at p.
@@ -119,23 +125,23 @@ class PAdicContext:
 
         Multiplicative: val(x*y) = val(x) + val(y).
         """
-        x = Fraction(x)
+        x = _rational(x)
         if x == 0:
             return INFINITY
         return int_val(x.numerator, self.p) - int_val(x.denominator, self.p)
 
     def is_integral(self, x) -> bool:
         """True when x lies in the valuation ring (val >= 0)."""
-        return Fraction(x).denominator % self.p != 0
+        return _rational(x).denominator % self.p != 0
 
     def is_unit(self, x) -> bool:
         """True when x is a unit of the valuation ring (val == 0)."""
-        x = Fraction(x)
+        x = _rational(x)
         return x != 0 and x.numerator % self.p != 0 and x.denominator % self.p != 0
 
     def residue(self, x) -> int:
         """Image of a p-integral rational in F_p, as an integer in [0, p)."""
-        x = Fraction(x)
+        x = _rational(x)
         if x.denominator % self.p == 0:
             raise NegativeValuation(f"{x} is not {self.p}-integral")
         return x.numerator * pow(x.denominator, -1, self.p) % self.p

@@ -35,6 +35,9 @@ def parse_scalar(value, field: str = "scalar") -> Fraction:
     if "e" in value or "E" in value:
         raise SchemaError(field, f"exponent notation is not accepted: {value!r}")
     try:
+        if value.isascii() and value.removeprefix("-").isdigit():
+            # plain decimal digits only: int() also takes "1_000", which Fraction refuses on 3.10
+            return Fraction(int(value))
         return Fraction(value.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(field, f"not a rational number: {value!r} ({exc})") from None

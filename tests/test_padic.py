@@ -115,3 +115,29 @@ def test_residue_is_ring_homomorphism(data, p):
     y = data.draw(integral_fractions(p))
     assert ctx.residue(x + y) == (ctx.residue(x) + ctx.residue(y)) % p
     assert ctx.residue(x * y) == ctx.residue(x) * ctx.residue(y) % p
+
+
+def _outcome(method, x):
+    try:
+        return ("value", method(x))
+    except NegativeValuation as exc:
+        return ("NegativeValuation", str(exc))
+
+
+rationals = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+)
+decimals = st.decimals(min_value=-(10**6), max_value=10**6, places=8, allow_nan=False, allow_infinity=False)
+coercible = st.one_of(rationals, st.booleans(), rationals.map(str), decimals, decimals.map(str))
+
+
+@given(st.sampled_from([2, 3, 5, 7, 10**9 + 7]), coercible)
+def test_scalar_reads_match_reading_a_fraction_first(p, x):
+    # ints and Fractions are read as they are, every other type through
+    # Fraction(x): the outcome, NegativeValuation included, is the same
+    ctx = PAdicContext(p)
+    for name in ("val", "is_integral", "is_unit", "residue"):
+        method = getattr(ctx, name)
+        got, want = _outcome(method, x), _outcome(method, Fraction(x))
+        assert got == want and type(got[1]) is type(want[1]), (name, x)

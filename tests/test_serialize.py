@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from btpgl import serialize
 from btpgl.cycles import Properness, properness_check, verify_intersection_identity
@@ -109,3 +110,38 @@ def test_report_serialization_round_trips_as_json():
     rep = verify_intersection_identity(cfg)
     assert (rep.lhs, rep.rhs, rep.agree) == (3, 3, True)
     assert rep.properness.kind.value == "proper_0dim"
+
+
+def _parse_outcome(value):
+    try:
+        return serialize.parse_scalar(value)
+    except SchemaError:
+        return SchemaError
+
+
+def _fraction_route(value):
+    """What parsing a scalar string gave before plain integers took int():
+    exponent notation refused, everything else through Fraction."""
+    if "e" in value or "E" in value:
+        return SchemaError
+    try:
+        return Fraction(value.strip())
+    except (ValueError, ZeroDivisionError):
+        return SchemaError
+
+
+# ASCII and other Unicode decimal digits, a superscript digit (not decimal),
+# and every separator the Fraction grammar knows
+SCALAR_ALPHABET = "0123456789" + "\u0663\uff17\u00b2" + "_+- /.e"
+
+
+@given(st.text(alphabet=SCALAR_ALPHABET, max_size=12))
+@example("1" * 5000)
+@example("-" + "7" * 5000)
+@example("1_000")
+@example("-0")
+@example("007")
+@example(" 12 ")
+def test_parse_scalar_matches_the_fraction_route(value):
+    got, want = _parse_outcome(value), _fraction_route(value)
+    assert got == want and type(got) is type(want), value
