@@ -25,6 +25,7 @@ from .cycles import (
     apartment_distance_report,
     decompose_intersection,
     distance_to_family,
+    family_bfs_distance,
     family_window_keys,
     higherdim_vertex_family,
     hyperplane_kernel,

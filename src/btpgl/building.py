@@ -9,16 +9,15 @@ family of frame lines (:func:`btpgl.cycles.nearest_family_member`).
 
 Distances in production code always go through the invariant-factor formula;
 BFS exists purely as an independent oracle.  A class key is the column
-Hermite form over Z_(p) of the transition from the reference, and that form
-is itself an integer transition of its class, so every BFS frontier entry
-is a key: the start class's, the targets', and each neighbour's.  A
-neighbour's key comes from its parent's Hermite form by one triangular
-basis change per subspace of F_p^n (:func:`_neighbor_keys`), with no
-determinant and no modular elimination.  The BFS searches from both ends,
+Hermite form over Z_(p) of the transition from the reference; every key of a
+lattice comes from :func:`class_key`, and every Hermite form from one exact
+reduction of a triangular basis (:func:`_reduce_triangular`).  That form is
+itself an integer transition of its class, so every BFS frontier entry is a
+key.  A neighbour's triangular basis is its parent's Hermite form times one
+triangular basis change per subspace of F_p^n (:func:`_neighbor_keys`), with
+no determinant and no modular elimination.  The BFS searches from both ends,
 from the start class and from the target keys, expanding the smaller
-frontier one layer at a time.  The keys of a block-scaled family window
-come from one integer transition, each member's being that one with its
-column blocks scaled by p-powers.
+frontier one layer at a time.
 
 All functions are pure and the BFS keeps only local state, so everything here
 is safe to run concurrently.
@@ -62,20 +61,47 @@ class ClassKey:
         return repr(self.hnf).encode("ascii").hex()
 
 
+def _reduce_triangular(cols):
+    """Reduce in place, and return, the columns of an upper-triangular
+    integer matrix with diagonal p^{d_j} to the column Hermite form over
+    Z_(p) of their lattice.  Column operations over Z reduce each entry
+    (i, j) above the diagonal into [0, p^{d_i}) by subtracting a multiple of
+    column i, already reduced, for i from j - 1 down to 0.  They keep the
+    lattice, and an upper-triangular basis with p-power diagonal and reduced
+    entries is the unique column Hermite form over Z_(p) of its lattice
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.2)."""
+    n = len(cols)
+    for j in range(1, n):
+        cj = cols[j]
+        for i in range(j - 1, -1, -1):
+            ci = cols[i]
+            c = cj[i] // ci[i]
+            if c:
+                for r in range(i + 1):
+                    cj[r] -= c * ci[r]
+    return cols
+
+
 def _column_hnf_mod(p: int, rows, total: int) -> tuple:
     """Canonical column Hermite form over Z_(p) of an integral matrix whose
-    determinant has valuation `total`, computed modulo a large p-power.
+    determinant has valuation `total`.
 
-    Precision bookkeeping: triangularization and the off-diagonal reduction
-    cascade each consume at most `total` digits, so 3*total + 4 digits leave
-    every extracted residue exact.
+    The columns are triangularized modulo q = p^(3*total + 4), each row from
+    the last taking a pivot of least valuation e, scaled to exactly p^e.
+    Lifted to integers, the result is upper triangular with diagonal p^{e_i}
+    and spans the lattice L of the input: L has index p^total, so it holds
+    p^total*Z_(p)^n and q*Z_(p)^n.  Every step is an integer column
+    operation, a scaling by an integer prime to p or a change by a multiple
+    of q, so the lifted columns lie in L; the steps are invertible mod q, so
+    they span L modulo q*Z_(p)^n, which lies in p*L, and by Nakayama's lemma
+    they span L.  (On the last n - i coordinates the same argument shows that
+    row i finds a pivot.)  :func:`_reduce_triangular` finishes exactly.
     """
     n = len(rows)
     q = p ** (3 * total + 4)
     cols = [[rows[i][j] % q for i in range(n)] for j in range(n)]
     order = [0] * n
     active = list(range(n))
-    diag_exp = [0] * n
     for i in range(n - 1, -1, -1):
         best = None
         for j in active:
@@ -91,28 +117,12 @@ def _column_hnf_mod(p: int, rows, total: int) -> tuple:
         cols[jstar] = [x * uinv % q for x in cols[jstar]]
         active.remove(jstar)
         order[i] = jstar
-        diag_exp[i] = e
         for j in active:
             c = cols[j][i] // pe
             if c:
                 pivot = cols[jstar]
                 cols[j] = [(a - c * b) % q for a, b in zip(cols[j], pivot)]
-    h = [[cols[order[j]][i] for j in range(n)] for i in range(n)]
-    for j in range(1, n):
-        for i in range(j - 1, -1, -1):
-            pe = p ** diag_exp[i]
-            r = h[i][j] % pe
-            c = (h[i][j] - r) // pe
-            if c:
-                for i2 in range(i + 1):
-                    h[i2][j] = (h[i2][j] - c * h[i2][i]) % q
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        pe = p ** diag_exp[i]
-        out[i][i] = pe
-        for j in range(i + 1, n):
-            out[i][j] = h[i][j] % pe
-    return tuple(tuple(row) for row in out)
+    return tuple(zip(*_reduce_triangular([cols[j] for j in order])))
 
 
 def _normalize_p_power(rows, p):
@@ -142,24 +152,22 @@ def _integer_transition(reference: LatticeBasis, lattice: LatticeBasis):
     return _normalize_p_power(tz, reference.ctx.p)[0]
 
 
-def _key_from_integer_rows(p: int, tz, total: int | None = None) -> ClassKey:
+def _key_from_integer_rows(p: int, tz) -> ClassKey:
     """Class key of the lattice spanned by the columns of an integer matrix
-    already normalized to minimal entry valuation 0.  `total` is the
-    valuation of its determinant, computed here when not given."""
-    n = len(tz)
-    if total is None:
-        total = int_val(linalg.int_det(tz), p)
-    if total == 0:
-        return ClassKey(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-    return ClassKey(_column_hnf_mod(p, tz, total))
+    already normalized to minimal entry valuation 0."""
+    return ClassKey(_column_hnf_mod(p, tz, int_val(linalg.int_det(tz), p)))
 
 
 def class_key(reference: LatticeBasis, lattice: LatticeBasis) -> ClassKey:
     """Canonical key of the homothety class of `lattice` relative to `reference`.
 
     Keys computed against the same reference agree exactly when the classes
-    coincide; keys from different references are not comparable.
+    coincide; keys from different references are not comparable.  The
+    reference's own key is the identity, built with no solve.
     """
+    if lattice == reference:
+        n = reference.dim
+        return ClassKey(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
     return _key_from_integer_rows(reference.ctx.p, _integer_transition(reference, lattice))
 
 
@@ -170,22 +178,15 @@ def block_scaled_keys(reference: LatticeBasis, lattice: LatticeBasis, ranks, exp
     With T the integer transition to `lattice`, the member k has transition
     T * D_k, D_k = diag(p^{k_a}) blockwise; dividing by p^{min k}, a
     homothety, keeps it integral, so one transition serves every member.
-    Its determinant valuation follows from T's: dividing the scaled matrix
-    by its common power p^s, val det = val det T + sum_a rank_a*(k_a - min k)
-    - n*s, so one determinant serves every member too.
     """
     p = reference.ctx.p
-    n = reference.dim
     t = _integer_transition(reference, lattice)
-    base = int_val(linalg.int_det(t), p)
     keys = set()
     for kvec in exponent_tuples:
         lo = min(kvec)
         scales = [p ** (k - lo) for k, rank in zip(kvec, ranks) for _ in range(rank)]
         scaled = [[x * s for x, s in zip(row, scales)] for row in t]
-        rows, s = _normalize_p_power(scaled, p)
-        total = base + sum(rank * (k - lo) for k, rank in zip(kvec, ranks)) - n * s
-        keys.add(_key_from_integer_rows(p, rows, total))
+        keys.add(_key_from_integer_rows(p, _normalize_p_power(scaled, p)[0]))
     return keys
 
 
@@ -279,6 +280,8 @@ def _check_ball_size(n: int, p: int, radius: int) -> None:
     """Refuse a search whose ball could hold more classes than the cap:
     1 + deg * sum_{k<radius} (deg-1)^k bounds a ball in a deg-regular graph."""
     cap = enumeration_cap()
+    if not radius:
+        return
     deg = neighbor_count(n, p)
     bound, layer = 1, deg
     for _ in range(radius):
@@ -324,13 +327,8 @@ def _neighbor_keys(p: int, hnf, transforms):
     reduced, and least entry valuation 0; it is an integer transition of its
     class.  For each B_W of :func:`_triangular_transforms`, the columns of
     H*B_W span the neighbour that W names, and H*B_W is upper triangular
-    with diagonal p^{d_j}, d_j = e_j + [j is not a pivot of W].  Column
-    operations over Z then reduce each entry (i, j) above the diagonal into
-    [0, p^{d_i}) by subtracting a multiple of column i, for i from j - 1 down
-    to 0; they keep the lattice, and an upper-triangular basis with p-power
-    diagonal and reduced entries is the unique column Hermite form over
-    Z_(p) of its lattice (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.4.2), the form :func:`_column_hnf_mod` computes.  The least
+    with diagonal p^{d_j}, d_j = e_j + [j is not a pivot of W], so
+    :func:`_reduce_triangular` gives the neighbour's Hermite form.  The least
     entry valuation s of a basis is the largest s with M in p^s Z_(p)^n, so
     it is the same for every basis of M, the transition a key is normalized
     from included; and dividing a reduced form by p^s leaves it reduced.
@@ -349,14 +347,7 @@ def _neighbor_keys(p: int, hnf, transforms):
                 for r in range(i + 1):
                     col[r] += c * hc[r]
             cols.append(col)
-        for j in range(1, n):
-            cj = cols[j]
-            for i in range(j - 1, -1, -1):
-                ci = cols[i]
-                c = cj[i] // ci[i]
-                if c:
-                    for r in range(i + 1):
-                        cj[r] -= c * ci[r]
+        _reduce_triangular(cols)
         if not any(x % p for col in cols for x in col):
             cols = [[x // p for x in col] for col in cols]
         yield ClassKey(tuple(zip(*cols)))
@@ -408,7 +399,7 @@ def bfs_dist(
     p = reference.ctx.p
     other_seen = set(targets)
     _check_search_size(reference.dim, p, radius_cap, len(other_seen))
-    start_key = _key_from_integer_rows(p, _integer_transition(reference, start))
+    start_key = class_key(reference, start)
     seen, frontier = {start_key}, [start_key]
     other_frontier = list(other_seen)
     if start_key in other_seen:
@@ -449,7 +440,7 @@ def bfs_ball(reference: LatticeBasis, center: LatticeBasis, radius: int):
     p = ctx.p
     _check_ball_size(reference.dim, p, radius)
     transforms = _neighbor_transforms(reference.dim, p) if radius else ()
-    keys = [_key_from_integer_rows(p, _integer_transition(reference, center))]
+    keys = [class_key(reference, center)]
     depth = [0]
     index = {keys[0]: 0}
     edges = []

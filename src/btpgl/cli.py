@@ -109,8 +109,6 @@ def _shifted_complements(cfg, rng):
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
-    if args.mode == "higherdim" and args.oracle != "formula":
-        raise ValueError("--mode higherdim has no BFS oracle yet; use --oracle formula")
     d = args.d if args.d is not None else (args.n if args.mode == "hyperplanes" else 2)
     start = time.perf_counter()
     rejections = 0
@@ -122,31 +120,30 @@ def cmd_verify(args) -> int:
     for trial in range(args.trials):
         seed = args.seed + trial
         sample = cycles.random_instance(seed, args.n, args.p, d, args.max_val, args.mode)
+        cfg = sample.config
         rejections += sample.rejections
         if args.mode == "higherdim":
-            dec = cycles.decompose_intersection(sample.config)
-            shifted = _shifted_complements(sample.config, random.Random(seed))
-            retry = cycles.decompose_intersection(sample.config, complements=shifted)
-            agree = retry.special_multiplicity == dec.special_multiplicity
-            max_lhs = max(max_lhs, dec.special_multiplicity)
+            dec = cycles.decompose_intersection(cfg)
+            shifted = _shifted_complements(cfg, random.Random(seed))
+            retry = cycles.decompose_intersection(cfg, complements=shifted)
+            # the multiplicity is the distance to the complement family
+            lhs = rhs = dec.special_multiplicity
+            agree = retry.special_multiplicity == rhs
+            family_of = cycles.higherdim_vertex_family
         else:
-            report = cycles.verify_intersection_identity(sample.config)
-            agree = report.agree
-            max_lhs = max(max_lhs, report.lhs)
-            if agree and args.oracle in ("bfs", "both"):
-                fam = cycles.vertex_family(sample.config)
-                ambient = sample.config.ambient
-                try:
-                    size = cycles.family_window_size(ambient, fam)
-                    building._check_search_size(args.n, args.p, report.rhs, size)
-                    keys = cycles.family_window_keys(ambient, fam)
-                    found = building.bfs_dist(ambient, ambient, keys, radius_cap=report.rhs)
-                except EnumerationTooLarge:
-                    # the search may exceed the cap: the formula stands unchecked
-                    bfs_skipped += 1
-                else:
-                    bfs_checked += 1
-                    agree = found == report.rhs
+            report = cycles.verify_intersection_identity(cfg)
+            lhs, rhs, agree = report.lhs, report.rhs, report.agree
+            family_of = cycles.vertex_family
+        max_lhs = max(max_lhs, lhs)
+        if agree and args.oracle in ("bfs", "both"):
+            try:
+                found = cycles.family_bfs_distance(cfg.ambient, family_of(cfg), rhs)
+            except EnumerationTooLarge:
+                # the search may exceed the cap: the formula stands unchecked
+                bfs_skipped += 1
+            else:
+                bfs_checked += 1
+                agree = found == rhs
         if not agree:
             failed_seeds.append(seed)
             failure = failure or (trial, sample)

@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import product
 
 from . import linalg
-from .building import block_scaled_keys, dist, enumeration_cap
+from .building import _check_search_size, bfs_dist, block_scaled_keys, dist, enumeration_cap
 from .errors import (
     EnumerationTooLarge,
     GenerationExhausted,
@@ -369,13 +369,15 @@ def distance_to_family(lattice: LatticeBasis, family: VertexFamily) -> int:
 
 
 def _window(reference: LatticeBasis, family: VertexFamily):
-    """The all-zero member, S = 2*B0 and the window's size of
-    :func:`family_window_keys`: (S+1)^m - S^m tuples, and distinct tuples
-    are distinct classes."""
+    """The number of keys of :func:`family_window_keys`, (S+1)^m - S^m with
+    S = 2*B0 (distinct tuples are distinct classes), and a function that
+    builds them."""
     m = len(family.generators)
     zero = family.member_lattice((0,) * m)
     s = 2 * dist(reference, zero)
-    return zero, s, (s + 1) ** m - s**m
+    window = (k for k in product(range(s + 1), repeat=m) if 0 in k)
+    ranks = [g.rank for g in family.generators]
+    return (s + 1) ** m - s**m, lambda: block_scaled_keys(reference, zero, ranks, window)
 
 
 def family_window_keys(reference: LatticeBasis, family: VertexFamily):
@@ -388,17 +390,22 @@ def family_window_keys(reference: LatticeBasis, family: VertexFamily):
     EnumerationTooLarge before any key is built.  Each member is the
     all-zero member with its generator blocks scaled, so its key comes from
     one integer transition (:func:`block_scaled_keys`)."""
-    zero, s, size = _window(reference, family)
+    size, keys = _window(reference, family)
     cap = enumeration_cap()
     if size > cap:
         raise EnumerationTooLarge(f"a family window of {size} keys exceeds the cap of {cap}")
-    window = (k for k in product(range(s + 1), repeat=len(family.generators)) if 0 in k)
-    return block_scaled_keys(reference, zero, [g.rank for g in family.generators], window)
+    return keys()
 
 
-def family_window_size(reference: LatticeBasis, family: VertexFamily) -> int:
-    """Number of keys :func:`family_window_keys` returns, without building them."""
-    return _window(reference, family)[2]
+def family_bfs_distance(reference: LatticeBasis, family: VertexFamily, radius_cap: int) -> int | None:
+    """BFS distance from the reference's class to the family, or None beyond
+    radius_cap: the independent oracle for :func:`distance_to_family`.  The
+    targets are the keys of :func:`family_window_keys`, and a search that may
+    compute more class keys than the enumeration cap, those targets counted,
+    raises EnumerationTooLarge before any key is built."""
+    size, keys = _window(reference, family)
+    _check_search_size(reference.dim, reference.ctx.p, radius_cap, size)
+    return bfs_dist(reference, reference, keys(), radius_cap)
 
 
 def realized_forms(cfg: CycleConfiguration):

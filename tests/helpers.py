@@ -12,7 +12,7 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 from btpgl import building, linalg
-from btpgl.building import class_key, dist
+from btpgl.building import class_key, dist, neighbor_count
 from btpgl.cycles import CycleConfiguration, VertexFamily
 from btpgl.lattices import DualForm, LatticeBasis, SplitSubmodule
 from btpgl.padic import PAdicContext, int_val
@@ -609,3 +609,15 @@ def echeloned_special_fold(cfg: CycleConfiguration):
         rows = linalg.echelon_mod_p(reduced, p)[0]
         special = rows if special is None else linalg.intersect_mod_p(special, rows, p)
     return tuple(tuple(r) for r in special)
+
+
+def search_key_bound(n, p, radius, ntargets):
+    """1 + t + deg * sum_{s<r} max_{a+b=s} min(D(a), t*D(b)): the class keys a
+    search from both ends can compute, D(0) = 1, D(k) = deg*(deg-1)^(k-1)."""
+    deg = neighbor_count(n, p)
+
+    def layer(k):
+        return 1 if k == 0 else deg * (deg - 1) ** (k - 1)
+
+    steps = (max(min(layer(a), ntargets * layer(s - a)) for a in range(s + 1)) for s in range(radius))
+    return 1 + ntargets + deg * sum(steps)

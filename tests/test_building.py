@@ -29,7 +29,7 @@ from btpgl.cycles import (
 )
 from btpgl.errors import EnumerationTooLarge
 from btpgl.lattices import LatticeBasis, saturate_coords
-from btpgl.padic import PAdicContext, int_val
+from btpgl.padic import PAdicContext
 
 from helpers import (
     class_equal,
@@ -38,11 +38,11 @@ from helpers import (
     dense_neighbor_keys,
     diagonal,
     exact_column_hnf,
-    member_window_keys,
     one_sided_bfs_dist,
     random_lattice,
     random_unimodular,
     right_multiply,
+    search_key_bound,
 )
 
 ctx2 = PAdicContext(2)
@@ -343,27 +343,27 @@ def test_neighbor_lift_shape():
 
 @contextmanager
 def counting_search_keys():
-    """Count the class keys computed inside the block: the keys computed
-    from integer transitions and the neighbour keys of the BFS."""
+    """Count the class keys computed inside the block: the keys of lattices,
+    all made by :func:`class_key`, and the neighbour keys of the BFS."""
     counts = [0]
-    key_from_rows = building._key_from_integer_rows
+    lattice_key = building.class_key
     neighbor_keys = building._neighbor_keys
 
-    def counting(p, tz, total=None):
+    def counting(reference, lattice):
         counts[0] += 1
-        return key_from_rows(p, tz, total)
+        return lattice_key(reference, lattice)
 
     def counting_neighbors(p, hnf, transforms):
         for key in neighbor_keys(p, hnf, transforms):
             counts[0] += 1
             yield key
 
-    building._key_from_integer_rows = counting
+    building.class_key = counting
     building._neighbor_keys = counting_neighbors
     try:
         yield counts
     finally:
-        building._key_from_integer_rows = key_from_rows
+        building.class_key = lattice_key
         building._neighbor_keys = neighbor_keys
 
 
@@ -397,18 +397,6 @@ def test_bfs_dist_radius_zero_expands_nothing():
     assert bfs_dist(std, other, {class_key(std, other)}, 0) == 0
     with pytest.raises(EnumerationTooLarge):
         bfs_dist(std, std, {class_key(std, other)}, 1)
-
-
-def search_key_bound(n, p, radius, ntargets):
-    """1 + t + deg * sum_{s<r} max_{a+b=s} min(D(a), t*D(b)): the class keys a
-    search from both ends can compute, D(0) = 1, D(k) = deg*(deg-1)^(k-1)."""
-    deg = neighbor_count(n, p)
-
-    def layer(k):
-        return 1 if k == 0 else deg * (deg - 1) ** (k - 1)
-
-    steps = (max(min(layer(a), ntargets * layer(s - a)) for a in range(s + 1)) for s in range(radius))
-    return 1 + ntargets + deg * sum(steps)
 
 
 def test_bfs_radius_bounded_by_enumeration_cap(monkeypatch):
@@ -523,12 +511,15 @@ def test_class_key_is_a_complete_class_invariant(n, p, seed):
     p=st.sampled_from([2, 3, 5]),
     total=st.integers(0, 20),
     seed=st.integers(0, 10**6),
+    beyond_modulus=st.booleans(),
 )
-def test_hnf_key_matches_exact_hermite_form(n, p, total, seed):
-    # the mod-p^(3*total+4) form against exact rational arithmetic, on
-    # L = U * diag(p^e) * V with U, V in GL_n(Z_(p)) of large entries and
-    # min e = 0, so L is its own normalized transition from the standard basis
+def test_hnf_key_matches_exact_hermite_form(n, p, total, seed, beyond_modulus):
+    # the form triangularized mod q = p^(3*total+4) and lifted against exact
+    # rational arithmetic, on L = U * diag(p^e) * V with U, V in GL_n(Z_(p))
+    # of large entries, some beyond q, and min e = 0, so L is its own
+    # normalized transition from the standard basis
     rng = random.Random(seed)
+    bound = p ** (3 * total + 6) if beyond_modulus else p**6
     ctx = PAdicContext(p)
     exps = [0] * n
     for _ in range(total):
@@ -537,7 +528,7 @@ def test_hnf_key_matches_exact_hermite_form(n, p, total, seed):
 
     def unit_matrix():
         while True:
-            m = [[rng.randrange(-(p**6), p**6) for _ in range(n)] for _ in range(n)]
+            m = [[rng.randrange(-bound, bound) for _ in range(n)] for _ in range(n)]
             if linalg.int_det(m) % p:
                 return m
 
@@ -653,44 +644,17 @@ def test_triangular_neighbor_keys_match_the_dense_product(n, p, seed):
     p=st.sampled_from([2, 3, 5]),
     seed=st.integers(0, 10**6),
 )
-def test_block_scaled_keys_take_one_determinant(n, p, seed):
-    # the family window's keys, with each member's determinant valuation
-    # computed from the zero member's, against one member lattice and one
-    # class key each
+def test_block_scaled_keys_match_member_keys(n, p, seed):
+    # tuples that are shifted, negative or without a 0, against a random
+    # reference, so a member's scaled transition can have a common p-power:
+    # one member lattice and one class key each.  The window tuples against
+    # the model are test_cycles.py::test_family_window_keys_match_member_keys
     sample = random_instance(seed=seed, n=n, p=p, d=n, max_val=2, mode="hyperplanes")
     fam = vertex_family(sample.config)
-    ref = sample.config.ambient
     m = len(fam.generators)
     zero = fam.member_lattice((0,) * m)
-    s = 2 * dist(ref, zero)
     ranks = [g.rank for g in fam.generators]
-    window = [k for k in product(range(s + 1), repeat=m) if 0 in k]
-    # tuples that are shifted, negative or without a 0, against a random
-    # reference, so a member's scaled transition can have a common p-power
     shifted = list(product(range(-1, 3), repeat=m))
     other = random_lattice(random.Random(seed), PAdicContext(p), n, 2)
-    calls = [0]
-    given = []
-    int_det = linalg.int_det
-    key_from_rows = building._key_from_integer_rows
-
-    def counting(rows):
-        calls[0] += 1
-        return int_det(rows)
-
-    def recording(p, tz, total=None):
-        given.append((tz, total))
-        return key_from_rows(p, tz, total)
-
-    linalg.int_det = counting
-    building._key_from_integer_rows = recording
-    try:
-        keys = building.block_scaled_keys(ref, zero, ranks, window)
-        shifted_keys = building.block_scaled_keys(other, zero, ranks, shifted)
-    finally:
-        linalg.int_det = int_det
-        building._key_from_integer_rows = key_from_rows
-    assert calls[0] == 2
-    assert all(total == int_val(int_det(tz), p) for tz, total in given)
-    assert keys == member_window_keys(ref, fam)
-    assert shifted_keys == {class_key(other, fam.member_lattice(k)) for k in shifted}
+    keys = building.block_scaled_keys(other, zero, ranks, shifted)
+    assert keys == {class_key(other, fam.member_lattice(k)) for k in shifted}

@@ -199,9 +199,9 @@ def test_verify_checks_the_search_bound_before_building_targets(capsys, monkeypa
     # seed 9 at (5,3) has a window of 61,051 target classes, too many to
     # search from: the check is skipped before any target key is built
     def no_keys(*args):
-        raise AssertionError("family_window_keys called for a skipped check")
+        raise AssertionError("a window key was built for a skipped check")
 
-    monkeypatch.setattr(cycles, "family_window_keys", no_keys)
+    monkeypatch.setattr(cycles, "block_scaled_keys", no_keys)
     argv = ["verify", "--n", "5", "--p", "3", "--seed", "9", "--trials", "1", "--oracle", "both"]
     assert main(argv) == 0
     out = json.loads(capsys.readouterr().out)
@@ -287,18 +287,14 @@ def test_verify_higherdim_disagreement_is_dumped(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("oracle", ["bfs", "both"])
-def test_verify_higherdim_refuses_the_bfs_oracle(capsys, monkeypatch, oracle):
-    # no oracle checks a positive-dimensional multiplicity yet: refuse before
-    # the first trial rather than report bfs_checked: 0
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(cycles, "random_instance", no_trial)
-    argv = ["verify", "--n", "3", "--p", "2", "--d", "2", "--mode", "higherdim", "--oracle", oracle]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--mode higherdim has no BFS oracle" in captured.err
+def test_verify_higherdim_checks_the_family_distance_by_bfs(capsys, oracle):
+    # the BFS checks the closed-form distance to the complement family
+    argv = ["verify", "--n", "4", "--p", "2", "--d", "2", "--mode", "higherdim", "--oracle", oracle,
+            "--seed", "1", "--trials", "10"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["agreements"], out["failed_seeds"]) == (10, [])
+    assert (out["bfs_checked"], out["bfs_skipped"]) == (10, 0)
 
 
 def test_export_dot_counts_and_determinism(tmp_path, capsys):

@@ -18,8 +18,8 @@ from btpgl.cycles import (
     apartment_lines,
     decompose_intersection,
     distance_to_family,
+    family_bfs_distance,
     family_window_keys,
-    family_window_size,
     higherdim_vertex_family,
     hyperplane_kernel,
     intersect_hyperplanes,
@@ -31,6 +31,7 @@ from btpgl.cycles import (
     vertex_family,
 )
 from btpgl.errors import (
+    EnumerationTooLarge,
     GenerationExhausted,
     ImproperGenericIntersection,
     ProperFail,
@@ -57,6 +58,7 @@ from helpers import (
     rebase,
     right_multiply,
     scan_distance_to_family,
+    search_key_bound,
     sympy_invariant_exponents,
 )
 
@@ -568,18 +570,43 @@ def test_family_window_keys_match_member_keys(n, p, mode, seed, reference):
     assert family_window_keys(lattice, fam) == member_window_keys(lattice, fam)
 
 
-def test_family_window_size_counts_the_window_keys():
-    # (2*B0 + 1)^m - (2*B0)^m window members, one class each, known before
-    # any key is built
-    for n in (2, 3, 4):
-        for p in (2, 3):
-            for seed in range(4):
-                for mode in ("hyperplanes", "submodules"):
-                    d = n if mode == "hyperplanes" else 2
-                    sample = random_instance(seed=seed, n=n, p=p, d=d, max_val=2, mode=mode)
-                    fam = _family_of(sample)
-                    ambient = sample.config.ambient
-                    assert family_window_size(ambient, fam) == len(family_window_keys(ambient, fam))
+def test_family_bfs_distance_refuses_before_building_a_key(monkeypatch):
+    # the search bound counts the window's (2*B0 + 1)^m - (2*B0)^m = 61
+    # target classes, and a search beyond the cap is refused before any key
+    # is built, although the window alone would fit it
+    sample = random_instance(seed=3, n=3, p=2, d=3, max_val=3, mode="hyperplanes")
+    fam = vertex_family(sample.config)
+    ambient = sample.config.ambient
+    distance = distance_to_family(ambient, fam)
+    bound = search_key_bound(3, 2, distance, len(family_window_keys(ambient, fam)))
+    assert (distance, bound) == (2, 272)
+    monkeypatch.setenv("BTPGL_ENUM_CAP", str(bound))
+    assert family_bfs_distance(ambient, fam, distance) == distance
+
+    def no_keys(*args):
+        raise AssertionError("a window key was built past the cap")
+
+    monkeypatch.setattr(cycles, "block_scaled_keys", no_keys)
+    monkeypatch.setenv("BTPGL_ENUM_CAP", str(bound - 1))
+    with pytest.raises(EnumerationTooLarge):
+        family_bfs_distance(ambient, fam, distance)
+
+
+def test_family_bfs_distance_on_higherdim_families():
+    # the BFS against the closed form on complement families at the model,
+    # with positive special multiplicities at n = 3, 4 and 5
+    positive = []
+    for n, p, d, seeds in ((3, 2, 2, 40), (3, 3, 2, 40), (4, 2, 3, 20), (5, 2, 2, 9), (5, 3, 3, 6)):
+        for seed in range(1, seeds + 1):
+            cfg = random_instance(seed=seed, n=n, p=p, d=d, max_val=3, mode="higherdim").config
+            fam = higherdim_vertex_family(cfg)
+            m = distance_to_family(cfg.ambient, fam)
+            assert family_bfs_distance(cfg.ambient, fam, m) == m
+            assert family_bfs_distance(cfg.ambient, fam, m + 1) == m
+            if m:
+                assert family_bfs_distance(cfg.ambient, fam, m - 1) is None
+                positive.append(n)
+    assert [positive.count(n) for n in (3, 4, 5)] == [10, 8, 2]
 
 
 def test_closed_form_seeded_sweep():
