@@ -13,11 +13,13 @@ Hermite form over Z_(p) of the transition from the reference; every key of a
 lattice comes from :func:`class_key`, and every Hermite form from one exact
 reduction of a triangular basis (:func:`_reduce_triangular`).  That form is
 itself an integer transition of its class, so every BFS frontier entry is a
-key.  A neighbour's triangular basis is its parent's Hermite form times one
-triangular basis change per subspace of F_p^n (:func:`_neighbor_keys`), with
-no determinant and no modular elimination.  The BFS searches from both ends,
-from the start class and from the target keys, expanding the smaller
-frontier one layer at a time.
+key.  A lattice's triangular basis comes from one elimination modulo a
+power of p that certifies itself, with no determinant
+(:func:`_key_from_integer_rows`).  A neighbour's triangular basis is its
+parent's Hermite form times one triangular basis change per subspace of
+F_p^n (:func:`_neighbor_keys`), with no determinant and no modular
+elimination.  The BFS searches from both ends, from the start class and
+from the target keys, expanding the smaller frontier one layer at a time.
 
 All functions are pure and the BFS keeps only local state, so everything here
 is safe to run concurrently.
@@ -82,49 +84,6 @@ def _reduce_triangular(cols):
     return cols
 
 
-def _column_hnf_mod(p: int, rows, total: int) -> tuple:
-    """Canonical column Hermite form over Z_(p) of an integral matrix whose
-    determinant has valuation `total`.
-
-    The columns are triangularized modulo q = p^(3*total + 4), each row from
-    the last taking a pivot of least valuation e, scaled to exactly p^e.
-    Lifted to integers, the result is upper triangular with diagonal p^{e_i}
-    and spans the lattice L of the input: L has index p^total, so it holds
-    p^total*Z_(p)^n and q*Z_(p)^n.  Every step is an integer column
-    operation, a scaling by an integer prime to p or a change by a multiple
-    of q, so the lifted columns lie in L; the steps are invertible mod q, so
-    they span L modulo q*Z_(p)^n, which lies in p*L, and by Nakayama's lemma
-    they span L.  (On the last n - i coordinates the same argument shows that
-    row i finds a pivot.)  :func:`_reduce_triangular` finishes exactly.
-    """
-    n = len(rows)
-    q = p ** (3 * total + 4)
-    cols = [[rows[i][j] % q for i in range(n)] for j in range(n)]
-    order = [0] * n
-    active = list(range(n))
-    for i in range(n - 1, -1, -1):
-        best = None
-        for j in active:
-            x = cols[j][i]
-            if x:
-                e = int_val(x, p)
-                if best is None or e < best[0]:
-                    best = (e, j)
-        e, jstar = best
-        pe = p**e
-        unit = cols[jstar][i] // pe
-        uinv = pow(unit, -1, q)
-        cols[jstar] = [x * uinv % q for x in cols[jstar]]
-        active.remove(jstar)
-        order[i] = jstar
-        for j in active:
-            c = cols[j][i] // pe
-            if c:
-                pivot = cols[jstar]
-                cols[j] = [(a - c * b) % q for a, b in zip(cols[j], pivot)]
-    return tuple(zip(*_reduce_triangular([cols[j] for j in order])))
-
-
 def _normalize_p_power(rows, p):
     """Divide an integer matrix by the largest common p-power p^s; returns
     the quotient and s."""
@@ -153,9 +112,60 @@ def _integer_transition(reference: LatticeBasis, lattice: LatticeBasis):
 
 
 def _key_from_integer_rows(p: int, tz) -> ClassKey:
-    """Class key of the lattice spanned by the columns of an integer matrix
-    already normalized to minimal entry valuation 0."""
-    return ClassKey(_column_hnf_mod(p, tz, int_val(linalg.int_det(tz), p)))
+    """Class key of the lattice L spanned by the columns of an integer matrix
+    T already normalized to minimal entry valuation 0.
+
+    The columns are triangularized modulo q = p^k for k = 16, 32, 64, ...,
+    each row from the last taking a pivot of least valuation e_i, scaled to
+    exactly p^{e_i}.  The first try in which every row finds a pivot and
+    sum e_i <= k - 1 is lifted to integers and reduced exactly by
+    :func:`_reduce_triangular`; a try stops as soon as a row finds none or
+    the running sum reaches k.  The lift L' spans L:
+
+    * every step is an integer column operation, a scaling by an integer
+      prime to p or a change by a multiple of q, each invertible mod q, so
+      L' + qR^n = L + qR^n;
+    * L' is triangular with diagonal p^{e_i}, so p^{sum e} R^n lies in L',
+      and as sum e < k, qR^n lies in pL';
+    * so L' = L + qR^n lies in L + pL', and L' = L by Nakayama's lemma.
+
+    No determinant sizes the modulus.  Modulo p^k the active columns agree
+    with an exact elimination of L to precision p^(k - e_done), e_done the
+    sum of the pivots found so far; so once k > val det T, each row finds its
+    exact pivot valuation, the sum is val det T < k, and the doubling stops.
+    """
+    n = len(tz)
+    k = 16
+    while True:
+        q = p**k
+        cols = [[tz[i][j] % q for i in range(n)] for j in range(n)]
+        order = [0] * n
+        active = list(range(n))
+        room = k
+        for i in range(n - 1, -1, -1):
+            best = None
+            for j in active:
+                x = cols[j][i]
+                if x:
+                    e = int_val(x, p)
+                    if best is None or e < best[0]:
+                        best = (e, j)
+            if best is None or best[0] >= room:
+                break
+            e, jstar = best
+            room -= e
+            pe = p**e
+            uinv = pow(cols[jstar][i] // pe, -1, q)
+            pivot = cols[jstar] = [x * uinv % q for x in cols[jstar]]
+            active.remove(jstar)
+            order[i] = jstar
+            for j in active:
+                c = cols[j][i] // pe
+                if c:
+                    cols[j] = [(a - c * b) % q for a, b in zip(cols[j], pivot)]
+        else:
+            return ClassKey(tuple(zip(*_reduce_triangular([cols[j] for j in order]))))
+        k *= 2
 
 
 def class_key(reference: LatticeBasis, lattice: LatticeBasis) -> ClassKey:
@@ -431,6 +441,7 @@ def bfs_ball(reference: LatticeBasis, center: LatticeBasis, radius: int):
     pairs and edges is a list of key pairs in deterministic discovery order;
     each lattice is the class representative reference * key.hnf.  Each
     class is expanded once; classes on the boundary only contribute edges.
+    A centre equal to the reference is its own representative.
     A radius whose ball may exceed the enumeration cap raises
     EnumerationTooLarge.
     """
@@ -460,8 +471,10 @@ def bfs_ball(reference: LatticeBasis, center: LatticeBasis, radius: int):
                 edges.append((key, nb_key))
         i += 1
     ref_rows = reference.rows()
-    nodes = [(key, _key_lattice(ctx, ref_rows, key)) for key in keys]
-    return nodes, edges
+    # the reference's own key is the identity, so reference * I is itself
+    reps = [reference if center == reference else _key_lattice(ctx, ref_rows, keys[0])]
+    reps += (_key_lattice(ctx, ref_rows, key) for key in keys[1:])
+    return list(zip(keys, reps)), edges
 
 
 def _key_lattice(ctx, ref_rows, key: ClassKey) -> LatticeBasis:

@@ -177,8 +177,8 @@ class VertexFamily:
         for g, k in zip(self.generators, exponents):
             scale = Fraction(p) ** k
             for c in g.standard_columns():
-                cols.append([scale * x for x in c])
-        return LatticeBasis(self.ambient.ctx, cols)
+                cols.append(tuple(scale * x for x in c))
+        return LatticeBasis._trusted(self.ambient.ctx, tuple(cols))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ nonzero; a submodule's entries are p-integral, its columns K-independent and
 its given forms valid.  Values the library builds itself are valid by
 construction, so they take private constructors that check nothing:
 
-* ``LatticeBasis._trusted``: the standard basis, and each node of a BFS
+* ``LatticeBasis._trusted``: the standard basis, each node of a BFS
   ball, reference * H with H triangular with a p-power diagonal
-  (:func:`btpgl.building.bfs_ball`), are nonsingular.
+  (:func:`btpgl.building.bfs_ball`), and each member of a vertex family,
+  whose independence check proves every scaled direct sum full rank
+  (:meth:`btpgl.cycles.VertexFamily.member_lattice`), are nonsingular.
 * ``SplitSubmodule._trusted``: the kernel of a primitive form, with that form
   as its forms (the proof is in :func:`btpgl.cycles.hyperplane_kernel`); a
   saturation, whose columns are the first r columns of the unimodular
@@ -268,18 +270,22 @@ def _eliminate(ctx: PAdicContext, b, p_cols=None):
     order and the pivot valuations, which are the diagonal valuations of the
     result.
 
-    When given, p_cols, the columns of an n x n matrix, receives the inverse
-    of each row operation, applied on the right: a row swap swaps two of its
-    columns, and subtracting m times row t from row i adds m times column i
-    to column t.  Started from I, it ends as C^{-1}, where C is the product
-    of the row operations, so C * b_in = b_out.  The multipliers lie in the
-    valuation ring, so C^{-1} is unimodular.  As b_in = C^{-1} * b_out and
-    b_out is zero below its r pivot rows, the first r columns of C^{-1} span
-    the columns of b_in over K; being part of a basis of R^n, they span the
-    saturation of that K-span.
+    When given, p_cols, the columns of the n x n identity, receives the
+    inverse of each row operation, applied on the right: a row swap swaps two
+    of its columns, and subtracting m times row t from row i adds m times
+    column i to column t.  It ends as C^{-1}, where C is the product of the
+    row operations, so C * b_in = b_out.  Besides swaps, step s changes only
+    column s, so at step t every column i > t is still a unit vector
+    e_{perm[i]}, perm the row swaps so far, and adding m times it to column
+    t, itself e_{perm[t]} before step t, writes m once, at perm[i].  The multipliers lie in the valuation ring, so
+    C^{-1} is unimodular.  As b_in = C^{-1} * b_out and b_out is zero below
+    its r pivot rows, the first r columns of C^{-1} span the columns of b_in
+    over K; being part of a basis of R^n, they span the saturation of that
+    K-span.
     """
     n = len(b)
     colorder = list(range(len(b[0]) if b else 0))
+    perm = list(range(n))
     vals = []
     for t in range(n):
         best = None
@@ -302,13 +308,14 @@ def _eliminate(ctx: PAdicContext, b, p_cols=None):
             b[t], b[bi] = b[bi], b[t]
             if p_cols is not None:
                 p_cols[t], p_cols[bi] = p_cols[bi], p_cols[t]
+                perm[t], perm[bi] = perm[bi], perm[t]
         piv = b[t][t]
         for i in range(t + 1, n):
             if b[i][t]:
                 m = b[i][t] / piv
                 b[i] = [x - m * y for x, y in zip(b[i], b[t])]
                 if p_cols is not None:
-                    p_cols[t] = [x + m * y if y else x for x, y in zip(p_cols[t], p_cols[i])]
+                    p_cols[t][perm[i]] = m
     return colorder, vals
 
 

@@ -29,7 +29,7 @@ from btpgl.cycles import (
 )
 from btpgl.errors import EnumerationTooLarge
 from btpgl.lattices import LatticeBasis, saturate_coords
-from btpgl.padic import PAdicContext
+from btpgl.padic import PAdicContext, int_val
 
 from helpers import (
     class_equal,
@@ -379,6 +379,22 @@ def test_bfs_ball_expands_each_class_once():
     assert counts[0] - before == 1583
 
 
+def test_bfs_ball_centre_at_the_reference_is_the_reference(monkeypatch):
+    # the centre's key is then the identity, so its representative is the
+    # reference itself, built with no product
+    calls = []
+
+    def counted(*args, _real=linalg.matmul):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(linalg, "matmul", counted)
+    std = LatticeBasis.standard(ctx2, 40)
+    nodes, edges = bfs_ball(std, std, 0)
+    assert calls == [] and edges == []
+    assert nodes == [(class_key(std, std), std)] and nodes[0][1] is std
+
+
 def test_bfs_rejects_negative_radius():
     std = LatticeBasis.standard(ctx2, 2)
     with pytest.raises(ValueError):
@@ -514,10 +530,11 @@ def test_class_key_is_a_complete_class_invariant(n, p, seed):
     beyond_modulus=st.booleans(),
 )
 def test_hnf_key_matches_exact_hermite_form(n, p, total, seed, beyond_modulus):
-    # the form triangularized mod q = p^(3*total+4) and lifted against exact
-    # rational arithmetic, on L = U * diag(p^e) * V with U, V in GL_n(Z_(p))
-    # of large entries, some beyond q, and min e = 0, so L is its own
-    # normalized transition from the standard basis
+    # the form triangularized mod q = p^k, k = 16 or 32 (the first k with
+    # total < k), and lifted against exact rational arithmetic, on
+    # L = U * diag(p^e) * V with U, V in GL_n(Z_(p)) of large entries, some
+    # beyond q, and min e = 0, so L is its own normalized transition from
+    # the standard basis
     rng = random.Random(seed)
     bound = p ** (3 * total + 6) if beyond_modulus else p**6
     ctx = PAdicContext(p)
@@ -538,6 +555,56 @@ def test_hnf_key_matches_exact_hermite_form(n, p, total, seed, beyond_modulus):
     lattice = LatticeBasis.from_rows(ctx, rows)
     assert class_key(LatticeBasis.standard(ctx, n), lattice).hnf == expected
     assert class_key(LatticeBasis.standard(ctx, n), lattice.scale(Fraction(p**3, p + 1))).hnf == expected
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("total", [15, 16, 17, 40])
+def test_key_modulus_tries_match_exact_hermite_form(p, total):
+    # val det 15 is certified by the first modulus p^16; 16 and 17 are
+    # refused there and certified by p^32; 40 needs p^64.  The exponents are
+    # spread over the rows or piled on one, under U, V in GL_4(Z_(p)) with
+    # entries beyond p^64
+    rng = random.Random(f"modulus:{p}:{total}")
+    n = 4
+    std = LatticeBasis.standard(PAdicContext(p), n)
+    bound = p**70
+
+    def unit_matrix():
+        while True:
+            m = [[rng.randrange(-bound, bound) for _ in range(n)] for _ in range(n)]
+            if linalg.int_det(m) % p:
+                return m
+
+    spread = [0, total // 3, total // 3, total - 2 * (total // 3)]
+    for exps in (spread, [0, 0, 0, total], [total, 0, 0, 0]):
+        diag = [[p ** exps[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        rows = linalg.matmul(linalg.matmul(unit_matrix(), diag), unit_matrix())
+        key = class_key(std, LatticeBasis.from_rows(std.ctx, rows))
+        assert key.hnf == exact_column_hnf(rows, p)
+        assert sum(int_val(key.hnf[i][i], p) for i in range(n)) == total
+
+
+def test_class_keys_take_no_determinant(monkeypatch):
+    # a key's modular elimination certifies its own modulus, so the keys of
+    # class_key, block_scaled_keys and bfs_dist's start take no linalg.int_det
+    sample = random_instance(seed=3, n=3, p=2, d=3, max_val=3, mode="hyperplanes")
+    fam = vertex_family(sample.config)
+    ref = sample.config.ambient
+    m = len(fam.generators)
+    zero = fam.member_lattice((0,) * m)
+    other = random_lattice(random.Random(3), ctx2, 3, 3)
+    ranks = [g.rank for g in fam.generators]
+    calls = []
+
+    def counted(*args, _real=linalg.int_det):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(linalg, "int_det", counted)
+    class_key(ref, other)
+    targets = building.block_scaled_keys(ref, zero, ranks, product(range(3), repeat=m))
+    bfs_dist(ref, other, targets, 2)
+    assert calls == []
 
 
 @settings(deadline=None, max_examples=60)
