@@ -2,12 +2,13 @@
 
 Homothety classes of full-rank lattices are the vertices; two distinct
 classes are adjacent when representatives satisfy pN < M < N.  This module
-provides canonical class keys, adjacency, the invariant-factor
-distance formula, neighbor enumeration over F_p, a BFS distance oracle, and
-DOT export of BFS balls.  Apartment membership is distance 0 to a vertex
-family of frame lines (:func:`btpgl.cycles.nearest_family_member`).
+provides canonical class keys, adjacency, the closed-form distance,
+neighbor enumeration over F_p, a BFS distance oracle, and DOT export of BFS
+balls.  Apartment membership is distance 0 to a vertex family of frame
+lines (:func:`btpgl.cycles.nearest_family_member`).
 
-Distances in production code always go through the invariant-factor formula;
+Distances in production code always go through the closed form of
+:func:`dist`, the least entry valuations of a transition and its inverse;
 BFS exists purely as an independent oracle.  A class key is the column
 Hermite form over Z_(p) of the transition from the reference; every key of a
 lattice comes from :func:`class_key`, and every Hermite form from one exact
@@ -36,7 +37,7 @@ from math import lcm
 
 from . import linalg
 from .errors import EnumerationTooLarge
-from .lattices import LatticeBasis, invariant_exponents
+from .lattices import LatticeBasis
 from .padic import int_val
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -100,15 +101,24 @@ def _normalize_p_power(rows, p):
     return [[x // pm for x in row] for row in rows], shift
 
 
+def _integer_rows(p: int, t):
+    """A rational matrix scaled to integers and normalized by the common
+    p-power (both scalings are homotheties)."""
+    denom = lcm(*(x.denominator for row in t for x in row))
+    return _normalize_p_power([[int(x * denom) for x in row] for row in t], p)[0]
+
+
 def _integer_transition(reference: LatticeBasis, lattice: LatticeBasis):
-    """Transition matrix reference^{-1} * lattice, scaled to integers and
-    normalized by the common p-power (both scalings are homotheties)."""
+    """Transition matrix reference^{-1} * lattice, as :func:`_integer_rows`."""
     if reference.ctx.p != lattice.ctx.p or reference.dim != lattice.dim:
         raise ValueError("lattices live in different spaces")
-    t = linalg.solve(reference.rows(), lattice.rows())
-    denom = lcm(*(x.denominator for row in t for x in row))
-    tz = [[int(x * denom) for x in row] for row in t]
-    return _normalize_p_power(tz, reference.ctx.p)[0]
+    return _integer_rows(reference.ctx.p, linalg.solve(reference.rows(), lattice.rows()))
+
+
+def _min_val(p: int, rows) -> int:
+    """Least p-adic valuation of the nonzero entries of a matrix given as
+    rows of ints or Fractions."""
+    return min(int_val(x.numerator, p) - int_val(x.denominator, p) for row in rows for x in row if x)
 
 
 def _key_from_integer_rows(p: int, tz) -> ClassKey:
@@ -181,16 +191,17 @@ def class_key(reference: LatticeBasis, lattice: LatticeBasis) -> ClassKey:
     return _key_from_integer_rows(reference.ctx.p, _integer_transition(reference, lattice))
 
 
-def block_scaled_keys(reference: LatticeBasis, lattice: LatticeBasis, ranks, exponent_tuples) -> set:
-    """Class keys of the lattices obtained from `lattice` by scaling its
-    consecutive column blocks, of sizes `ranks`, by p^{k_a}, one per tuple k.
+def block_scaled_keys(p: int, transition, ranks, exponent_tuples) -> set:
+    """Class keys, relative to a reference, of the lattices obtained from the
+    lattice with the given transition from it by scaling its consecutive
+    column blocks, of sizes `ranks`, by p^{k_a}, one per tuple k.
 
-    With T the integer transition to `lattice`, the member k has transition
-    T * D_k, D_k = diag(p^{k_a}) blockwise; dividing by p^{min k}, a
-    homothety, keeps it integral, so one transition serves every member.
+    With T the transition scaled to integers (:func:`_integer_rows`), the
+    member k has transition T * D_k, D_k = diag(p^{k_a}) blockwise; dividing
+    by p^{min k}, a homothety, keeps it integral, so one integer matrix
+    serves every member.
     """
-    p = reference.ctx.p
-    t = _integer_transition(reference, lattice)
+    t = _integer_rows(p, transition)
     keys = set()
     for kvec in exponent_tuples:
         lo = min(kvec)
@@ -202,19 +213,25 @@ def block_scaled_keys(reference: LatticeBasis, lattice: LatticeBasis, ranks, exp
 
 def adjacent(l1: LatticeBasis, l2: LatticeBasis) -> bool:
     """True iff the classes are distinct and have representatives with
-    pN < M < N; equivalently the normalized invariant exponents are {0, 1}."""
-    exps = invariant_exponents(l1, l2)
-    return exps[-1] - exps[0] == 1
+    pN < M < N; equivalently their distance is 1."""
+    return dist(l1, l2) == 1
 
 
 def dist(l1: LatticeBasis, l2: LatticeBasis) -> int:
-    """Combinatorial distance between the two lattice classes.
-
-    Computed as max - min of the invariant-factor exponents, which equals the
+    """Combinatorial distance between the two lattice classes: k_n - k_1,
+    the spread of the invariant exponents of T = l2^{-1} l1, which equals the
     minimal number of edges of a path between the classes.
+
+    It is -min val(T) - min val(T^{-1}), from two solves.  Proof: for U, W
+    in GL_n(R) the entries of UAW are R-combinations of A's, so
+    min val(UAW) >= min val(A), and A = U^{-1}(UAW)W^{-1} gives equality.
+    With T = U diag(p^{k_i}) W, so min val(T) = k_1, and
+    T^{-1} = W^{-1} diag(p^{-k_i}) U^{-1}, so min val(T^{-1}) = -k_n.
     """
-    exps = invariant_exponents(l1, l2)
-    return exps[-1] - exps[0]
+    if l1.ctx.p != l2.ctx.p or l1.dim != l2.dim:
+        raise ValueError("lattices live in different spaces")
+    p, r1, r2 = l1.ctx.p, l1.rows(), l2.rows()
+    return -_min_val(p, linalg.solve(r2, r1)) - _min_val(p, linalg.solve(r1, r2))
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes partition the failure classes so campaign scripts can triage
-without parsing stderr: 1 parse, validation or file error, 2 improper
+without parsing stderr: 1 usage, parse, validation or file error, 2 improper
 intersection, 3 identity or oracle disagreement, 4 enumeration cap exceeded.
 """
 
@@ -201,8 +201,18 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 (EXIT_PARSE), not
+    argparse's 2, which here means an improper intersection; subparsers are
+    built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="btpgl",
         description="Exact intersection numbers of linear cycles on p-adic "
         "projective space and distances in the PGL lattice-class building.",

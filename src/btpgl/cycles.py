@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 
 from . import linalg
-from .building import _check_search_size, bfs_dist, block_scaled_keys, dist, enumeration_cap
+from .building import _check_search_size, _min_val, bfs_dist, block_scaled_keys, enumeration_cap
 from .errors import (
     EnumerationTooLarge,
     GenerationExhausted,
@@ -324,18 +324,28 @@ def vertex_family(cfg: CycleConfiguration) -> VertexFamily:
     return VertexFamily(cfg.ambient, analysis.partials)
 
 
+def _family_transition(lattice: LatticeBasis, family: VertexFamily):
+    """T = F^{-1} M^{-1} L, the transition from the concatenated generator
+    basis F (in coordinates of the ambient M) to the lattice L, and T^{-1},
+    the transition from L to the all-zero member M F."""
+    f = linalg.transpose(family.concatenated_columns())
+    if lattice == family.ambient:
+        return linalg.inv(f), f
+    mf, rows = linalg.matmul(family.ambient.rows(), f), lattice.rows()
+    return linalg.solve(mf, rows), linalg.solve(rows, mf)
+
+
 def nearest_family_member(lattice: LatticeBasis, family: VertexFamily):
     """Exact distance from the lattice class to the family's vertices, with
     the exponents (normalized to min 0) of a member at that distance.
 
-    Let T = F^{-1} M^{-1} L be the transition from the concatenated generator
-    basis F (in coordinates of the ambient M) to the lattice L, with rows
-    grouped by generator block a.  Let V_a be the minimal valuation of the
+    Let T be the transition of :func:`_family_transition`, with rows grouped
+    by generator block a.  Let V_a be the minimal valuation of the
     entries in T's rows of block a and U_a that of the entries in the columns
     of T^{-1} of block a.  The member with exponents k has transition
     A = D_k^{-1} T, D_k = diag(p^{k_a}) blockwise.  The extreme invariant
-    exponents of A are min val(A) and -min val(A^{-1}), and
-    A^{-1} = T^{-1} D_k, so
+    exponents of A are min val(A) and -min val(A^{-1}) (see
+    :func:`btpgl.building.dist`), and A^{-1} = T^{-1} D_k, so
 
         dist(k) = max_a (k_a - V_a) + max_a (-U_a - k_a).
 
@@ -344,21 +354,12 @@ def nearest_family_member(lattice: LatticeBasis, family: VertexFamily):
     is 0 and the second is max_a -(V_a + U_a), so the minimum over all
     members is max_a -(V_a + U_a), attained at k = V.
     """
-    ambient = family.ambient
-    ctx = ambient.ctx
-    f = linalg.transpose(family.concatenated_columns())
-    if lattice == ambient:
-        t, t_inv = linalg.inv(f), f
-    else:
-        mf, rows = linalg.matmul(ambient.rows(), f), lattice.rows()
-        t, t_inv = linalg.solve(mf, rows), linalg.solve(rows, mf)
-    v, u = [], []
-    start = 0
-    for g in family.generators:
-        block = range(start, start + g.rank)
-        start += g.rank
-        v.append(min(ctx.val(x) for i in block for x in t[i] if x))
-        u.append(min(ctx.val(row[i]) for row in t_inv for i in block if row[i]))
+    p = family.ambient.ctx.p
+    t, t_inv = _family_transition(lattice, family)
+    ends = [0, *accumulate(g.rank for g in family.generators)]
+    blocks = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    v = [_min_val(p, t[block]) for block in blocks]
+    u = [_min_val(p, (row[block] for row in t_inv)) for block in blocks]
     lo = min(v)
     return max(-(va + ua) for va, ua in zip(v, u)), tuple(va - lo for va in v)
 
@@ -371,13 +372,15 @@ def distance_to_family(lattice: LatticeBasis, family: VertexFamily) -> int:
 def _window(reference: LatticeBasis, family: VertexFamily):
     """The number of keys of :func:`family_window_keys`, (S+1)^m - S^m with
     S = 2*B0 (distinct tuples are distinct classes), and a function that
-    builds them."""
-    m = len(family.generators)
-    zero = family.member_lattice((0,) * m)
-    s = 2 * dist(reference, zero)
-    window = (k for k in product(range(s + 1), repeat=m) if 0 in k)
+    builds them.  B0 is dist(0) of :func:`nearest_family_member`,
+    -(min V + min U), and T^{-1} is the transition to the all-zero member."""
+    p = reference.ctx.p
+    t, t_inv = _family_transition(reference, family)
+    s = -2 * (_min_val(p, t) + _min_val(p, t_inv))
     ranks = [g.rank for g in family.generators]
-    return (s + 1) ** m - s**m, lambda: block_scaled_keys(reference, zero, ranks, window)
+    m = len(ranks)
+    window = (k for k in product(range(s + 1), repeat=m) if 0 in k)
+    return (s + 1) ** m - s**m, lambda: block_scaled_keys(p, t_inv, ranks, window)
 
 
 def family_window_keys(reference: LatticeBasis, family: VertexFamily):
@@ -389,7 +392,7 @@ def family_window_keys(reference: LatticeBasis, family: VertexFamily):
     a window of more keys than the enumeration cap raises
     EnumerationTooLarge before any key is built.  Each member is the
     all-zero member with its generator blocks scaled, so its key comes from
-    one integer transition (:func:`block_scaled_keys`)."""
+    the one transition to it (:func:`block_scaled_keys`)."""
     size, keys = _window(reference, family)
     cap = enumeration_cap()
     if size > cap:

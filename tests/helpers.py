@@ -12,9 +12,9 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 from btpgl import building, linalg
-from btpgl.building import class_key, dist, neighbor_count
+from btpgl.building import class_key, neighbor_count
 from btpgl.cycles import CycleConfiguration, VertexFamily
-from btpgl.lattices import DualForm, LatticeBasis, SplitSubmodule
+from btpgl.lattices import DualForm, LatticeBasis, SplitSubmodule, invariant_exponents
 from btpgl.padic import PAdicContext, int_val
 
 
@@ -40,6 +40,15 @@ def sympy_invariant_exponents(rows, p):
         else:
             finite.append(int_val(d, p) - shift)
     return sorted(finite), zeros
+
+
+def smith_dist(l1: LatticeBasis, l2: LatticeBasis) -> int:
+    """Distance between two lattice classes as the spread of all their
+    invariant exponents, by the valuation-pivoted elimination: the oracle
+    for the closed forms of :func:`btpgl.building.dist` and of the family
+    distance."""
+    exps = invariant_exponents(l1, l2)
+    return exps[-1] - exps[0]
 
 
 def random_unimodular(rng: random.Random, n: int, p: int, steps: int = 6):
@@ -302,7 +311,7 @@ def member_window_keys(reference: LatticeBasis, family: VertexFamily):
     lattice and one class key each: the oracle for the block-scaled keys of
     :func:`btpgl.cycles.family_window_keys`."""
     m = len(family.generators)
-    b0 = dist(reference, family.member_lattice((0,) * m))
+    b0 = smith_dist(reference, family.member_lattice((0,) * m))
     return {
         class_key(reference, family.member_lattice(kvec))
         for spread in range(2 * b0 + 1)

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from btpgl import building, linalg
+from btpgl import building, lattices, linalg
 from btpgl.building import (
     adjacent,
     bfs_ball,
@@ -43,6 +43,7 @@ from helpers import (
     random_unimodular,
     right_multiply,
     search_key_bound,
+    smith_dist,
 )
 
 ctx2 = PAdicContext(2)
@@ -113,8 +114,9 @@ def test_adjacent_examples():
 
 
 def test_keys_and_distances_take_one_solve_and_no_inverse(monkeypatch):
-    # class_key, dist and bfs_dist's start key each form their transition
-    # with one linalg.solve: no whole inverse and no product
+    # class_key and bfs_dist's start key each form their transition with one
+    # linalg.solve, and dist its transition and the inverse with two: no
+    # whole inverse and no product
     rng = random.Random(8)
     pairs = [
         (random_lattice(rng, ctx, n, 2), random_lattice(rng, ctx, n, 3))
@@ -130,15 +132,15 @@ def test_keys_and_distances_take_one_solve_and_no_inverse(monkeypatch):
 
         monkeypatch.setattr(linalg, name, counted)
     for reference, lattice in pairs:
-        for op in (
-            lambda: class_key(reference, lattice),
-            lambda: dist(reference, lattice),
+        for op, solves in (
+            (lambda: class_key(reference, lattice), 1),
+            (lambda: dist(reference, lattice), 2),
             # no targets: the search computes the start key and stops
-            lambda: bfs_dist(reference, lattice, set(), 0),
+            (lambda: bfs_dist(reference, lattice, set(), 0), 1),
         ):
             calls.clear()
             op()
-            assert calls == ["solve"]
+            assert calls == ["solve"] * solves
 
 
 def test_dist_examples():
@@ -171,6 +173,64 @@ def test_dist_one_iff_adjacent():
         a = random_lattice(rng, ctx, 3, rng.randrange(0, 3))
         b = random_lattice(rng, ctx, 3, rng.randrange(0, 3))
         assert (dist(a, b) == 1) == adjacent(a, b)
+
+
+def _grid_entry(rng, p):
+    return Fraction(rng.randint(-p, p) * p ** rng.randint(0, 6), rng.choice((1, p, p * p, 7)))
+
+
+def _grid_lattice(rng, ctx, n):
+    while True:
+        try:
+            return LatticeBasis(ctx, [[_grid_entry(rng, ctx.p) for _ in range(n)] for _ in range(n)])
+        except ValueError:  # singular draw
+            pass
+
+
+def test_closed_form_dist_matches_the_smith_spread():
+    # 4,000 seeded pairs, n = 1..6, p = 2, 3, 5, 7, entries up to p^6 with
+    # denominators 1, p, p^2 and 7: dist and adjacent against the spread of
+    # every invariant exponent from the valuation-pivoted elimination
+    rng = random.Random(31)
+    distances = set()
+    for i in range(4000):
+        n, ctx = 1 + i % 6, PAdicContext((2, 3, 5, 7)[i // 6 % 4])
+        a, b = _grid_lattice(rng, ctx, n), _grid_lattice(rng, ctx, n)
+        expected = smith_dist(a, b)
+        assert dist(a, b) == expected
+        assert adjacent(a, b) == (expected == 1)
+        distances.add(expected)
+    assert set(range(11)) <= distances
+
+
+def test_distances_run_no_elimination(monkeypatch):
+    # dist, adjacent and the family window read two transitions, with no
+    # valuation-pivoted elimination
+    rng = random.Random(12)
+    pairs = [
+        (random_lattice(rng, ctx, n, 3), random_lattice(rng, ctx, n, 2))
+        for ctx in (ctx2, ctx3)
+        for n in (2, 3, 4)
+    ]
+    families = []
+    for seed, n, mode in ((3, 3, "hyperplanes"), (5, 4, "submodules")):
+        sample = random_instance(seed=seed, n=n, p=2, d=n if mode == "hyperplanes" else 2, max_val=3, mode=mode)
+        ambient = sample.config.ambient
+        families.append((vertex_family(sample.config), (ambient, random_lattice(rng, ctx2, n, 2))))
+    calls = []
+
+    def counted(*args, _real=lattices._eliminate):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(lattices, "_eliminate", counted)
+    for a, b in pairs:
+        dist(a, b)
+        adjacent(a, b)
+    for fam, references in families:
+        for reference in references:
+            assert family_window_keys(reference, fam)
+    assert calls == []
 
 
 def test_homothety_invariance_of_building_ops():
@@ -602,9 +662,11 @@ def test_class_keys_take_no_determinant(monkeypatch):
 
     monkeypatch.setattr(linalg, "int_det", counted)
     class_key(ref, other)
-    targets = building.block_scaled_keys(ref, zero, ranks, product(range(3), repeat=m))
+    window = list(product(range(3), repeat=m))
+    targets = building.block_scaled_keys(2, linalg.solve(ref.rows(), zero.rows()), ranks, window)
     bfs_dist(ref, other, targets, 2)
     assert calls == []
+    assert targets == {class_key(ref, fam.member_lattice(k)) for k in window}
 
 
 @settings(deadline=None, max_examples=60)
@@ -723,5 +785,5 @@ def test_block_scaled_keys_match_member_keys(n, p, seed):
     ranks = [g.rank for g in fam.generators]
     shifted = list(product(range(-1, 3), repeat=m))
     other = random_lattice(random.Random(seed), PAdicContext(p), n, 2)
-    keys = building.block_scaled_keys(other, zero, ranks, shifted)
+    keys = building.block_scaled_keys(p, linalg.solve(other.rows(), zero.rows()), ranks, shifted)
     assert keys == {class_key(other, fam.member_lattice(k)) for k in shifted}

@@ -529,3 +529,23 @@ def test_dist_bfs_beyond_enumeration_cap_exits_4(tmp_path, capsys):
     assert main(["dist", path, "--oracle", "both"]) == 4
     assert time.perf_counter() - start < 5.0
     assert "EnumerationTooLarge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--n", "abc"], ["bogus"], [], ["dist"], ["export-dot", "--n", "2"], ["verify", "--oracle", "x"]]
+)
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse exits 2 on a usage error, which here means an improper
+    # intersection; every subcommand's parser exits 1 instead
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == cli.EXIT_PARSE == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["export-dot", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

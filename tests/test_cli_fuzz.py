@@ -1,13 +1,15 @@
 """Hostile input is refused where it enters: mutated instance and pair files
-make `btpgl intersect` and `btpgl dist` exit with a documented code, print no
-traceback, and finish within a fixed deadline."""
+make `btpgl intersect` and `btpgl dist` exit with a documented code, and so do
+mutated command lines of every subcommand; each run prints no traceback and
+finishes within a fixed deadline."""
 
 import copy
 import io
 import json
+import os
 import random
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import lru_cache
 
 import pytest
@@ -228,7 +230,10 @@ def _run_refuses_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # usage errors and --help
+            code = exc.code
     elapsed = time.perf_counter() - start
     assert code in DOCUMENTED_EXIT_CODES, (code, err.getvalue())
     assert "Traceback" not in err.getvalue() + out.getvalue()
@@ -260,3 +265,120 @@ def test_unmutated_files_exit_0(workdir):
             path = workdir / "valid.json"
             path.write_text(json.dumps(doc))
             assert _run_refuses_cleanly([argv0, str(path)]) == cli.EXIT_OK
+
+
+# Command lines: each subcommand's valid argv and, per option, values to put
+# in.  The values stay within a documented cost: `verify` runs at most 2
+# trials with p <= 3 (two BFS-checked trials at (4, 5) took up to 4 s),
+# and `export-dot` builds balls of radius <= 1 with n <= 4 and p <= 3 (a ball
+# expands its boundary too, so radius 1 at (4, 5) computes about 1.25M keys).
+ARGV_BASES = {
+    "intersect": (["{instance}"], []),
+    "dist": (["{pair}"], [("--oracle", "both")]),
+    "verify": (
+        [],
+        [("--seed", "1"), ("--trials", "2"), ("--n", "3"), ("--p", "2"), ("--max-val", "3"),
+         ("--mode", "hyperplanes"), ("--oracle", "both"), ("--out", "{dir}")],
+    ),
+    "export-dot": ([], [("--n", "3"), ("--p", "2"), ("--radius", "1"), ("--out", "{dir}/ball")]),
+}
+PATHS = ("{instance}", "{pair}", "{missing}", "{dir}", "", "-")
+ARGV_VALUES = {
+    "intersect": {},
+    "dist": {"--oracle": ("formula", "bfs", "both", "bogus", "")},
+    "verify": {
+        "--seed": ("1", "2", "0", "-1", "x", "1.5"),
+        "--trials": ("1", "2", "0", "-1", "x", ""),
+        "--n": ("2", "3", "4", "1", "6", "x"),
+        "--p": ("2", "3", "4", "1", "0", "x"),
+        "--d": ("2", "3", "4", "0", "x"),
+        "--max-val": ("0", "1", "3", "-1", "x"),
+        "--mode": (*cycles.MODES, "bogus"),
+        "--oracle": ("formula", "bfs", "both", "bogus"),
+        "--out": ("{dir}", "{missing}"),
+    },
+    "export-dot": {
+        "--n": ("2", "3", "4", "1", "0", "-1", "x"),
+        "--p": ("2", "3", "4", "1", "x"),
+        "--radius": ("0", "1", "-1", "x"),
+        "--out": ("{dir}/ball", "{missing}/ball", "-"),
+        "--instance": PATHS,
+    },
+}
+STRAY_TOKENS = ("--", "-", "extra", "--bogus", "--bogus=1", "-h", "--help", "--n=2")
+
+
+@pytest.fixture(scope="module")
+def argv_files(workdir):
+    instance, pair = workdir / "argv_instance.json", workdir / "argv_pair.json"
+    instance.write_text(json.dumps(_instances()[1]))
+    pair.write_text(json.dumps(_pairs()[1]))
+    return {"instance": instance, "pair": pair, "missing": workdir / "missing", "dir": workdir}
+
+
+def _mutated_argv(data, command):
+    positionals, base = ARGV_BASES[command]
+    positionals, pools = list(positionals), ARGV_VALUES[command]
+    options = [list(o) for o in base]
+    command_token = command
+    for _ in range(data.draw(st.integers(1, 3))):
+        # a verify without --trials would run the default 100 trials
+        free = [o for o in options if None not in o and o[0] != "--trials"]
+        kind = data.draw(st.sampled_from(("value", "add", "drop", "half", "stray", "order", "positional", "command")))
+        if kind == "value" and options:
+            o = data.draw(st.sampled_from(options))
+            if o[0] in pools:
+                o[1] = data.draw(st.sampled_from(pools[o[0]]))
+        elif kind == "add" and pools:
+            flag = data.draw(st.sampled_from(sorted(pools)))
+            options.append([flag, data.draw(st.sampled_from(pools[flag]))])
+        elif kind == "drop" and free:
+            options.remove(data.draw(st.sampled_from(free)))
+        elif kind == "half" and free:
+            # a flag without its value, or a value without its flag
+            o = data.draw(st.sampled_from(free))
+            o[data.draw(st.integers(0, 1))] = None
+        elif kind == "stray":
+            options.insert(data.draw(st.integers(0, len(options))), [None, data.draw(st.sampled_from(STRAY_TOKENS))])
+        elif kind == "order":
+            options = data.draw(st.permutations(options))
+        elif kind == "positional" and command in ("intersect", "dist"):
+            positionals = data.draw(st.lists(st.sampled_from(PATHS), max_size=2))
+        elif kind == "command" and command in ("intersect", "dist"):
+            command_token = data.draw(st.sampled_from(("intersect", "dist", "bogus", "")))
+    tokens = [command_token, *positionals]
+    for flag, value in options:
+        if flag is None:
+            tokens.append(value)
+        elif value is None:
+            # "--flag=" cannot take the next token as its value
+            tokens.append(f"{flag}=")
+        else:
+            tokens += [flag, value]
+    return tokens
+
+
+@contextmanager
+def _inside(path):
+    """Run in `path`: an output prefix such as "-" lands there."""
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+@FUZZ
+@given(command=st.sampled_from(sorted(ARGV_BASES)), data=st.data())
+def test_mutated_command_lines_exit_cleanly(argv_files, workdir, command, data):
+    argv = [t.format(**argv_files) for t in _mutated_argv(data, command)]
+    with _inside(workdir):
+        _run_refuses_cleanly(argv)
+
+
+def test_unmutated_command_lines_exit_0(argv_files, workdir):
+    for command, (positionals, options) in ARGV_BASES.items():
+        argv = [command, *positionals, *(t for o in options for t in o)]
+        with _inside(workdir):
+            assert _run_refuses_cleanly([t.format(**argv_files) for t in argv]) == cli.EXIT_OK

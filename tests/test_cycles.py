@@ -52,6 +52,7 @@ from helpers import (
     echeloned_special_fold,
     evaluate_coords,
     family_profile,
+    fraction_inv,
     member_window_keys,
     random_lattice,
     random_unimodular,
@@ -59,6 +60,7 @@ from helpers import (
     right_multiply,
     scan_distance_to_family,
     search_key_bound,
+    smith_dist,
     sympy_invariant_exponents,
 )
 
@@ -265,6 +267,23 @@ def test_identity_on_seeded_instances():
         assert rep.agree
         # the realized-form determinant matches the original forms
         assert rep.lhs == intersect_hyperplanes(sample.forms)
+
+
+def test_identity_witness_is_the_inverse_form_matrix():
+    # for c = n both sides equal -min val(A^{-1}), A the realized-form
+    # matrix: the family generators are A^{-1}'s column blocks saturated, so
+    # U_a = 0 and V_a = min val of block a of A^{-1}; A^{-1} comes from the
+    # Fraction oracle, not from the library's solve
+    for n in (2, 3, 4, 5):
+        for p in (2, 3, 5):
+            for mode in ("hyperplanes", "submodules"):
+                for seed in range(1, 41):
+                    d = n if mode == "hyperplanes" else 2 + seed % (n - 1)
+                    cfg = random_instance(seed=seed, n=n, p=p, d=d, max_val=3, mode=mode).config
+                    report = verify_intersection_identity(cfg)
+                    a = [list(f.coefficients) for f in realized_forms(cfg)]
+                    witness = -min(cfg.ambient.ctx.val(x) for row in fraction_inv(a) for x in row if x)
+                    assert witness == report.lhs == report.rhs, (n, p, mode, seed)
 
 
 def test_realized_forms_cut_out_the_cycles():
@@ -488,7 +507,7 @@ def _check_closed_form(lattice, fam):
     distance, witness = nearest_family_member(lattice, fam)
     assert distance_to_family(lattice, fam) == distance == scan_distance_to_family(lattice, fam)
     assert min(witness) == 0
-    assert dist(lattice, fam.member_lattice(witness)) == distance
+    assert smith_dist(lattice, fam.member_lattice(witness)) == distance
 
 
 @settings(deadline=None)
@@ -637,7 +656,8 @@ def test_distance_at_the_model_is_the_distance_to_the_zero_member():
     # at the model's vertex M every generator is split, so U_a = 0 for every
     # block and the closed form is -min_a V_a: the largest invariant exponent
     # of the all-zero member F against M, whose least one is 0 (F is integral
-    # with primitive columns); so the family distance is dist(M, F)
+    # with primitive columns); so the family distance is the spread of the
+    # invariant exponents of M against F
     counts = {"families": 0, "positive": 0, "scanned": 0}
     for n in (2, 3, 4, 5):
         for p in (2, 3, 5):
@@ -656,7 +676,7 @@ def test_distance_at_the_model_is_the_distance_to_the_zero_member():
                     ambient = sample.config.ambient
                     m = len(fam.generators)
                     distance = distance_to_family(ambient, fam)
-                    assert distance == dist(ambient, fam.member_lattice((0,) * m))
+                    assert distance == smith_dist(ambient, fam.member_lattice((0,) * m))
                     counts["families"] += 1
                     counts["positive"] += distance > 0
                     # the scan oracle, where its window is small
