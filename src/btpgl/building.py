@@ -304,18 +304,23 @@ def _neighbor_transforms(n: int, p: int):
 
 
 def _check_ball_size(n: int, p: int, radius: int) -> None:
-    """Refuse a search whose ball could hold more classes than the cap:
-    1 + deg * sum_{k<radius} (deg-1)^k bounds a ball in a deg-regular graph."""
+    """Refuse a ball that could compute more class keys than the cap.  A
+    ball of radius >= 1 keys its centre and the deg neighbours of every
+    class it holds, the boundary included, and 1 + deg * sum_{k<radius}
+    (deg-1)^k bounds the classes of a ball in a deg-regular graph; so
+    1 + deg * (that bound) bounds the keys.  A ball of radius 0 keys only
+    its centre."""
     cap = enumeration_cap()
     if not radius:
         return
     deg = neighbor_count(n, p)
-    bound, layer = 1, deg
+    classes, layer = 1, deg
     for _ in range(radius):
-        bound += layer
-        if bound > cap:
+        classes += layer
+        if 1 + deg * classes > cap:
             raise EnumerationTooLarge(
-                f"a ball of radius {radius} at (n, p) = ({n}, {p}) may exceed the cap of {cap} classes"
+                f"a ball of radius {radius} at (n, p) = ({n}, {p}) "
+                f"may compute more than the cap of {cap} class keys"
             )
         if not layer:
             break

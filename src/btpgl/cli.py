@@ -75,6 +75,8 @@ def cmd_dist(args) -> int:
     formula = building.dist(first, second)
     bfs = None
     if args.oracle in ("bfs", "both"):
+        # refuse a search over the cap before keying its one target
+        building._check_search_size(first.dim, first.ctx.p, formula, 1)
         target = building.class_key(first, second)
         bfs = building.bfs_dist(first, first, {target}, radius_cap=formula)
         if bfs != formula:

@@ -40,7 +40,6 @@ from .lattices import (
     DualForm,
     LatticeBasis,
     SplitSubmodule,
-    complete_to_complement,
     intersect_spans,
     is_split,
     same_submodule,
@@ -78,8 +77,9 @@ class CycleAnalysis:
 
     generic is L0, the saturation of the common K-intersection of the spans;
     special is the reduced echelon basis of the common F_p-intersection of
-    the reductions; properness classifies the two.  The partial
-    intersections L_j are computed on first use.  It holds the cycles, not
+    the reductions; properness classifies the two.  The complements S_j of
+    L0 in the partial intersections L_j, and the L_j themselves, are
+    computed on first use, all from one inverse.  It holds the cycles, not
     the configuration that keeps it, so the two form no reference cycle.
     """
 
@@ -89,19 +89,42 @@ class CycleAnalysis:
     properness: PropernessReport
 
     @cached_property
+    def complements(self) -> tuple:
+        """S_j, a split complement of L0 in L_j, for each cycle j: the
+        saturation of block j of the first c columns of Q^{-1}.
+
+        A stacks every cycle's forms (c rows, grouped by cycle), N is L0's
+        columns and J the pivots of N mod p, so N_J is a unit minor.  Q is
+        A with the unit rows e_j (j in J) below it.  L0 has rank n - rank A,
+        so Q is square exactly when the forms are independent; otherwise
+        this raises RankMismatch.  If Q x = 0, then x = N y and N_J y = 0,
+        so y = 0: a square Q is invertible.  Let X be the first c columns of
+        Q^{-1}; then A X = I and X_J = 0.  Block j of X, X_j, is killed by
+        every other cycle's forms and A_j X_j = I, so the K-span of L_j is
+        that of L0 plus that of X_j, and the sum is direct.  Since
+        det [N | e_{not J}] = +-det N_J is a unit, R^n = L0 + R^{not J},
+        direct.  An element v of L_j is N a + w with a integral and w in
+        R^{not J}; w lies in L_j's K-span and vanishes on J, and an element
+        N b + X_j y of that span vanishes on J only if N_J b = 0, so w lies
+        in X_j's K-span: w is in S_j, its saturation.  So L_j = L0 + S_j,
+        direct, and the columns of L0 and S_j are a basis of L_j.
+        """
+        l0 = self.generic
+        n = l0.ambient.dim
+        forms = [f for s in self.submodules for f in s.forms()]
+        pivots = l0.echelon()[1] if l0.rank else ()
+        if len(forms) + len(pivots) != n:
+            raise RankMismatch(f"the {len(forms)} forms of the cycles are dependent")
+        cols = linalg.transpose(linalg.inv(forms + [[int(i == j) for i in range(n)] for j in pivots]))
+        ends = [0, *accumulate(n - s.rank for s in self.submodules)]
+        return tuple(saturate_coords(l0.ambient, cols[a:b]) for a, b in zip(ends, ends[1:]))
+
+    @cached_property
     def partials(self) -> tuple:
         """L_j, the saturated K-intersection of all cycles but the j-th, for
-        each j; it must have rank n - r_j + r0."""
-        subs = self.submodules
-        ambient = self.generic.ambient
-        out = []
-        for j, s in enumerate(subs):
-            lj = intersect_spans(ambient, subs[:j] + subs[j + 1 :])
-            expected = ambient.dim - s.rank + self.properness.r0
-            if lj.rank != expected:
-                raise RankMismatch(f"partial intersection {j} has rank {lj.rank}, expected {expected}")
-            out.append(lj)
-        return tuple(out)
+        each j: L0 + S_j (see :attr:`complements`), of rank n - r_j + r0."""
+        l0 = self.generic
+        return tuple(SplitSubmodule._trusted(l0.ambient, l0.columns + s.columns) for s in self.complements)
 
 
 class CycleConfiguration:
@@ -434,6 +457,25 @@ def verify_intersection_identity(cfg: CycleConfiguration) -> IdentityReport:
     the right side is the exact family distance.  Both are computed
     independently.  Building the family first raises ProperFail unless the
     codimensions sum to n and the configuration is proper.
+
+    Why they agree.  Here c = n, so A, the stacked forms, is the matrix that
+    :attr:`CycleAnalysis.complements` inverts (J is empty), and generator a
+    is S_a = (A^{-1})_a G_a, block a of A^{-1} saturated, G_a invertible.
+    In :func:`nearest_family_member`, T^{-1} = F = A^{-1} G and T = G^{-1} A.
+    A matrix B with a unit maximal minor, in rows or columns, keeps the least
+    entry valuation of what it multiplies: val(C B) >= val C, and on the
+    unit minor's columns C B_K is C times an element of GL(R).  S_a is
+    saturated, so U_a = min val S_a = 0.  A_a, an R-basis of its cycle's
+    forms, has a unit minor, so V_a = min val G_a^{-1} A_a = min val G_a^{-1};
+    so does S_a, so that is min val S_a G_a^{-1} = min val (A^{-1})_a.  So
+    rhs = max_a -(V_a + U_a) = -min val A^{-1}.  As A^{-1} = adj(A)/det A,
+    -min val A^{-1} = val det A - min val adj(A) = lhs - min val adj(A),
+    and the two agree iff some (n-1)-minor of A is a unit, iff
+    rank(A mod p) >= n - 1.  The special intersection is ker(A mod p), so
+    rank(A mod p) = n - 1 on a PROPER_0DIM configuration, and n on an empty
+    one.  tests/test_cycles.py::test_identity_witness_is_the_inverse_form_matrix
+    checks rhs = -min val A^{-1} = lhs on seeded draws.  This function keeps
+    computing rhs from the family, so that it checks the building side.
     """
     family = vertex_family(cfg)
     lhs = intersect_hyperplanes(realized_forms(cfg))
@@ -476,19 +518,20 @@ def higherdim_vertex_family(cfg: CycleConfiguration, complements=None) -> Vertex
     """Family generated by complements of the common intersection inside each
     partial intersection, with the common intersection as the last generator.
 
-    The complements default to the deterministic greedy completion; any valid
-    choice of complements may be supplied instead.
+    The complements default to the analysis's own (see
+    :attr:`CycleAnalysis.complements`); any valid choice of complements may
+    be supplied instead.
     """
     analysis = analyze(cfg)
     _require(analysis.properness, Properness.PROPER_HIGHER_DIM)
-    l0, ljs = analysis.generic, analysis.partials
+    l0 = analysis.generic
     if complements is None:
-        comps = [complete_to_complement(lj, l0) for lj in ljs]
+        comps = analysis.complements
     else:
         comps = list(complements)
-        if len(comps) != len(ljs):
+        if len(comps) != len(cfg.submodules):
             raise ValueError("need one complement per cycle")
-        for lj, comp in zip(ljs, comps):
+        for lj, comp in zip(analysis.partials, comps):
             combined = SplitSubmodule(cfg.ambient, tuple(l0.columns) + tuple(comp.columns))
             if not same_submodule(combined, lj):
                 raise ValueError("supplied complement does not complement the intersection")

@@ -18,8 +18,15 @@ construction, so they take private constructors that check nothing:
 * ``SplitSubmodule._trusted``: the kernel of a primitive form, with that form
   as its forms (the proof is in :func:`btpgl.cycles.hyperplane_kernel`); a
   saturation, whose columns are the first r columns of the unimodular
-  C^{-1} of :func:`_eliminate`; and a complement, whose columns are some of
-  an already checked module's.
+  C^{-1} of :func:`_eliminate`; a complement, whose columns are some of an
+  already checked module's; and a partial intersection L_j of a cycle
+  configuration, the columns of L0 followed by those of S_j, the
+  saturation of X_j, block j of the inverse of the cycles' stacked forms
+  completed by the unit rows at L0's pivots J mod p.  X_j vanishes on J,
+  the forms of the other cycles kill it, and R^n = L0 + R^{not J},
+  so every element of L_j is one of L0 plus one of S_j: the columns are a
+  basis of the saturated L_j (the proof is in
+  :attr:`btpgl.cycles.CycleAnalysis.complements`).
 
 All operations are pure functions on immutable values and are therefore
 thread-safe.

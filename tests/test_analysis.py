@@ -4,18 +4,33 @@ and the properness classification are counted across whole operations."""
 import hashlib
 import json
 
+import pytest
 from sympy import Matrix, Rational
 
 from btpgl import cycles, lattices, linalg, serialize
 from btpgl.cli import main
+from btpgl.errors import RankMismatch
+from btpgl.lattices import DualForm, LatticeBasis, SplitSubmodule, is_split, same_submodule, saturate_coords
 from btpgl.padic import PAdicContext
+
+from helpers import fraction_span_fold
 
 
 def count_pass_calls(monkeypatch):
-    """Count calls of intersect_spans, saturate_coords, echelon_mod_p,
-    nullspace, PAdicContext.residue and the classification from now on.
-    Every classification ends in one PropernessReport."""
-    names = ("intersect_spans", "saturate_coords", "echelon_mod_p", "nullspace", "residue", "classify")
+    """Count calls of intersect_spans, saturate_coords, complete_to_complement,
+    echelon_mod_p, nullspace, inv, PAdicContext.residue and the
+    classification from now on.  Every classification ends in one
+    PropernessReport."""
+    names = (
+        "intersect_spans",
+        "saturate_coords",
+        "complete_to_complement",
+        "echelon_mod_p",
+        "nullspace",
+        "inv",
+        "residue",
+        "classify",
+    )
     counts = dict.fromkeys(names, 0)
 
     def counting(name, fn):
@@ -31,8 +46,11 @@ def count_pass_calls(monkeypatch):
     saturate = counting("saturate_coords", lattices.saturate_coords)
     monkeypatch.setattr(lattices, "saturate_coords", saturate)
     monkeypatch.setattr(cycles, "saturate_coords", saturate)
+    complete = counting("complete_to_complement", lattices.complete_to_complement)
+    monkeypatch.setattr(lattices, "complete_to_complement", complete)
     monkeypatch.setattr(linalg, "echelon_mod_p", counting("echelon_mod_p", linalg.echelon_mod_p))
     monkeypatch.setattr(linalg, "nullspace", counting("nullspace", linalg.nullspace))
+    monkeypatch.setattr(linalg, "inv", counting("inv", linalg.inv))
     monkeypatch.setattr(PAdicContext, "residue", counting("residue", PAdicContext.residue))
     monkeypatch.setattr(cycles, "PropernessReport", counting("classify", cycles.PropernessReport))
     return counts
@@ -45,16 +63,35 @@ def test_verify_is_one_pass(monkeypatch):
     counts = count_pass_calls(monkeypatch)
     report = cycles.verify_intersection_identity(cfg)
     assert report.agree
-    # one span intersection for L0 and one per partial intersection L_j;
-    # one mod-p echelon per F_p-intersection of the fold (4 here), and none
-    # for the realized forms, which are the cycles' forms
+    # one span intersection for L0, whose kernel is the one nullspace; the
+    # L_j come from one inverse; one mod-p echelon per F_p-intersection of
+    # the fold (4 here), none for L0 (it is 0 when c = n) and none for the
+    # realized forms, which are the cycles' forms
     assert counts["classify"] == 1
-    assert counts["intersect_spans"] <= 6
+    assert counts["intersect_spans"] == counts["nullspace"] == 1
     assert counts["echelon_mod_p"] <= 4
     # the family check of a campaign reads the same analysis
     cycles.vertex_family(cfg)
     assert counts["classify"] == 1
-    assert counts["intersect_spans"] <= 6
+    assert counts["intersect_spans"] == counts["nullspace"] == 1
+
+
+def test_partials_are_one_inverse(monkeypatch):
+    for mode, d in (("hyperplanes", 5), ("submodules", 3), ("higherdim", 3)):
+        sample = cycles.random_instance(seed=5, n=5, p=3, d=d, max_val=3, mode=mode)
+        cfg = cycles.CycleConfiguration(sample.config.ambient, sample.config.submodules)
+        analysis = cycles.analyze(cfg)
+        counts = count_pass_calls(monkeypatch)
+        assert len(analysis.partials) == d
+        # one inverse of the completed form matrix and one saturation per
+        # cycle; no span intersection, nullspace or complement completion
+        assert counts["inv"] == 1
+        assert counts["saturate_coords"] == d
+        assert counts["intersect_spans"] == counts["nullspace"] == counts["complete_to_complement"] == 0
+        if mode == "higherdim":
+            counts["inv"] = counts["saturate_coords"] = 0
+            cycles.higherdim_vertex_family(cfg)
+            assert counts["inv"] == counts["saturate_coords"] == counts["complete_to_complement"] == 0
 
 
 def test_verify_computes_each_cycles_forms_once(monkeypatch):
@@ -64,9 +101,9 @@ def test_verify_computes_each_cycles_forms_once(monkeypatch):
     cfg = serialize.parse_instance(data)[3]
     counts = count_pass_calls(monkeypatch)
     assert cycles.verify_intersection_identity(cfg).agree
-    # one nullspace per cycle for its forms, one for L0 and one per L_j;
-    # the realized forms are the cycles' forms and run none
-    assert counts["nullspace"] <= 2 * len(cfg.submodules) + 1 == 11
+    # one nullspace per cycle for its forms and one for L0; the L_j come
+    # from one inverse and the realized forms are the cycles' forms
+    assert counts["nullspace"] <= len(cfg.submodules) + 1 == 6
 
 
 def test_verify_saturates_only_the_intersections(monkeypatch):
@@ -90,11 +127,11 @@ def test_hyperplane_cycles_come_from_their_forms(monkeypatch):
     # each kernel is a closed form that keeps its form
     assert counts["nullspace"] == counts["saturate_coords"] == 0
     assert cycles.verify_intersection_identity(cfg).agree
-    # one nullspace for L0 and one per L_j
-    assert counts["nullspace"] == 6
+    # one nullspace for L0; the L_j come from one inverse
+    assert counts["nullspace"] == 1
     counts["nullspace"] = 0
     assert len(cycles.apartment_lines(sample.forms)) == 5
-    assert counts["nullspace"] <= 6
+    assert counts["nullspace"] <= 1
 
 
 def test_cli_intersect_higherdim_is_one_pass(tmp_path, monkeypatch, capsys):
@@ -106,9 +143,49 @@ def test_cli_intersect_higherdim_is_one_pass(tmp_path, monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["properness"] == "proper_higher_dim"
     assert counts["classify"] == 1
-    # parsing checks each cycle is split (one echelon each)
-    assert counts["intersect_spans"] <= 4
-    assert counts["echelon_mod_p"] <= 10
+    # parsing checks each cycle is split (one echelon each), the F_p fold
+    # intersects twice and L0's pivots take one; one nullspace per cycle for
+    # its forms and one for L0; the complements of L0 are the analysis's own
+    assert counts["intersect_spans"] == 1
+    assert counts["echelon_mod_p"] <= 6
+    assert counts["nullspace"] <= 4
+    assert counts["complete_to_complement"] == 0
+
+
+def test_partials_match_the_fraction_fold():
+    # each L_j is the saturated intersection of the other cycles' spans, and
+    # L0's columns with its complement's are a basis of it; the draws take
+    # every d each mode admits: n, 2..n and 2..n-1
+    cells = [
+        (n, p, mode, d)
+        for n in (2, 3, 4, 5)
+        for p in (2, 3, 5)
+        for mode, ds in (("hyperplanes", [n]), ("submodules", range(2, n + 1)), ("higherdim", range(2, n)))
+        for d in ds
+    ]
+    for n, p, mode, d in cells:
+        for seed in (1, 2):
+            cfg = cycles.random_instance(seed, n, p, d, max_val=3, mode=mode).config
+            ambient, subs = cfg.ambient, cfg.submodules
+            analysis = cycles.analyze(cfg)
+            l0 = analysis.generic
+            for j, (lj, sj) in enumerate(zip(analysis.partials, analysis.complements)):
+                others = subs[:j] + subs[j + 1 :]
+                assert same_submodule(lj, saturate_coords(ambient, fraction_span_fold(ambient, others)))
+                combined = SplitSubmodule(ambient, l0.columns + sj.columns)
+                assert is_split(combined) and same_submodule(combined, lj), (n, p, mode, d, seed, j)
+
+
+def test_dependent_forms_have_no_partials():
+    # three hyperplanes through one line: generic_dim 1 where 0 is expected,
+    # and no L_j is the sum of L0 and a complement
+    ambient = LatticeBasis.standard(PAdicContext(3), 3)
+    forms = ((1, 0, 0), (0, 1, 0), (1, 1, 0))
+    cfg = cycles.CycleConfiguration(ambient, [cycles.hyperplane_kernel(DualForm(ambient, f)) for f in forms])
+    analysis = cycles.analyze(cfg)
+    assert (analysis.properness.kind, analysis.properness.generic_dim) == (cycles.Properness.IMPROPER, 1)
+    with pytest.raises(RankMismatch):
+        analysis.partials
 
 
 def _span_rref(vectors):

@@ -477,9 +477,9 @@ def test_bfs_dist_radius_zero_expands_nothing():
 
 def test_bfs_radius_bounded_by_enumeration_cap(monkeypatch):
     # at (3,3) a ball of radius 4 may hold 423,177 classes and one of radius
-    # 5 10,579,427: the default cap of 10^6 admits the first only.  A search
-    # from both ends to one target computes at most 18,306 keys to radius 5
-    # and 880,206 to radius 8, but 11,442,706 to radius 9.
+    # 5 10,579,427.  A search from both ends to one target computes at most
+    # 18,306 keys to radius 5 and 880,206 to radius 8, but 11,442,706 to
+    # radius 9.
     assert [search_key_bound(3, 3, r, 1) for r in (4, 5, 8, 9)] == [1406, 18306, 880206, 11442706]
     std = LatticeBasis.standard(ctx3, 3)
     key = class_key(std, std)
@@ -497,8 +497,29 @@ def test_bfs_radius_bounded_by_enumeration_cap(monkeypatch):
     monkeypatch.setenv("BTPGL_ENUM_CAP", "423176")
     with pytest.raises(EnumerationTooLarge):
         bfs_ball(std, std, 4)
-    monkeypatch.setenv("BTPGL_ENUM_CAP", "27")
+    # a ball keys its centre and the 26 neighbours of each of its 27
+    # classes, the boundary included: 703 keys at radius 1
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "702")
+    with pytest.raises(EnumerationTooLarge):
+        bfs_ball(std, std, 1)
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "703")
     assert len(bfs_ball(std, std, 1)[0]) == 27
+
+
+def test_ball_gate_counts_keys(monkeypatch):
+    # at (4,5) a ball of radius 1 holds 1,119 classes, within the default
+    # cap, but computes 1 + 1118 * 1119 = 1,251,043 keys: it is refused
+    # before any key is built
+    monkeypatch.setattr(building, "class_key", None)
+    std = LatticeBasis.standard(PAdicContext(5), 4)
+    with pytest.raises(EnumerationTooLarge, match="class keys"):
+        bfs_ball(std, std, 1)
+    assert neighbor_count(4, 5) == 1118
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "1251042")
+    with pytest.raises(EnumerationTooLarge):
+        building._check_ball_size(4, 5, 1)
+    monkeypatch.setenv("BTPGL_ENUM_CAP", "1251043")
+    building._check_ball_size(4, 5, 1)
 
 
 def test_search_gate_counts_the_targets(monkeypatch):

@@ -531,6 +531,17 @@ def test_dist_bfs_beyond_enumeration_cap_exits_4(tmp_path, capsys):
     assert "EnumerationTooLarge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("oracle", ["bfs", "both"])
+def test_dist_refused_search_keys_nothing(tmp_path, capsys, monkeypatch, oracle):
+    # the search gate runs before the target's class key is computed
+    calls = []
+    monkeypatch.setattr(cli.building, "class_key", lambda *args: calls.append(args))
+    path = write(tmp_path / "pair.json", pair_instance(3, [1, 1, 3**9]))
+    assert main(["dist", path, "--oracle", oracle]) == 4
+    assert calls == []
+    assert "EnumerationTooLarge" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", [["verify", "--n", "abc"], ["bogus"], [], ["dist"], ["export-dot", "--n", "2"], ["verify", "--oracle", "x"]]
 )

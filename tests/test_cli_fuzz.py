@@ -269,9 +269,11 @@ def test_unmutated_files_exit_0(workdir):
 
 # Command lines: each subcommand's valid argv and, per option, values to put
 # in.  The values stay within a documented cost: `verify` runs at most 2
-# trials with p <= 3 (two BFS-checked trials at (4, 5) took up to 4 s),
-# and `export-dot` builds balls of radius <= 1 with n <= 4 and p <= 3 (a ball
-# expands its boundary too, so radius 1 at (4, 5) computes about 1.25M keys).
+# trials with p <= 3 (two BFS-checked trials at (4, 5) took up to 4 s), and
+# `export-dot` builds balls of radius <= 1 with n <= 4 and p <= 5.  The ball
+# gate counts the keys a ball computes, its boundary's neighbours included,
+# so the costliest ball it admits here is radius 1 at (4, 3), 44,311 keys;
+# radius 1 at (4, 5) would compute 1,251,043 and exits 4 before any key.
 ARGV_BASES = {
     "intersect": (["{instance}"], []),
     "dist": (["{pair}"], [("--oracle", "both")]),
@@ -299,7 +301,7 @@ ARGV_VALUES = {
     },
     "export-dot": {
         "--n": ("2", "3", "4", "1", "0", "-1", "x"),
-        "--p": ("2", "3", "4", "1", "x"),
+        "--p": ("2", "3", "5", "4", "1", "x"),
         "--radius": ("0", "1", "-1", "x"),
         "--out": ("{dir}/ball", "{missing}/ball", "-"),
         "--instance": PATHS,
