@@ -163,10 +163,12 @@ class VertexFamily:
     """Generators whose p-power-scaled direct sums enumerate a vertex set.
 
     The generators' K-spans are independent and sum to V, so every scaled
-    direct sum is a full-rank lattice.
+    direct sum is a full-rank lattice.  The check is the inverse of F, the
+    generators' columns side by side, which the family keeps: every family
+    distance reads it (:func:`_family_transition`).
     """
 
-    __slots__ = ("ambient", "generators")
+    __slots__ = ("ambient", "generators", "_inverse")
 
     def __init__(self, ambient: LatticeBasis, generators):
         gens = tuple(generators)
@@ -179,8 +181,10 @@ class VertexFamily:
         cols = self.concatenated_columns()
         if len(cols) != ambient.dim:
             raise ValueError("generator ranks must sum to the dimension")
-        if linalg.det(linalg.transpose(cols)) == 0:
+        f_inv = linalg.solve(linalg.transpose(cols), linalg.identity(len(cols)))
+        if f_inv is None:
             raise ValueError("generator spans are not independent")
+        object.__setattr__(self, "_inverse", tuple(map(tuple, f_inv)))
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexFamily is immutable")
@@ -190,18 +194,6 @@ class VertexFamily:
         for g in self.generators:
             cols.extend(list(c) for c in g.columns)
         return cols
-
-    def member_lattice(self, exponents) -> LatticeBasis:
-        """The lattice obtained by scaling each generator by p^{k_j}."""
-        if len(exponents) != len(self.generators):
-            raise ValueError("need one exponent per generator")
-        p = self.ambient.ctx.p
-        cols = []
-        for g, k in zip(self.generators, exponents):
-            scale = Fraction(p) ** k
-            for c in g.standard_columns():
-                cols.append(tuple(scale * x for x in c))
-        return LatticeBasis._trusted(self.ambient.ctx, tuple(cols))
 
 
 @dataclass(frozen=True)
@@ -350,10 +342,11 @@ def vertex_family(cfg: CycleConfiguration) -> VertexFamily:
 def _family_transition(lattice: LatticeBasis, family: VertexFamily):
     """T = F^{-1} M^{-1} L, the transition from the concatenated generator
     basis F (in coordinates of the ambient M) to the lattice L, and T^{-1},
-    the transition from L to the all-zero member M F."""
+    the transition from L to the all-zero member M F.  At L = M, T is the
+    inverse the family kept when it checked F."""
     f = linalg.transpose(family.concatenated_columns())
     if lattice == family.ambient:
-        return linalg.inv(f), f
+        return family._inverse, f
     mf, rows = linalg.matmul(family.ambient.rows(), f), lattice.rows()
     return linalg.solve(mf, rows), linalg.solve(rows, mf)
 
@@ -506,12 +499,10 @@ def apartment_distance_report(forms) -> ApartmentReport:
     while the intersection number is the sum).
     """
     forms = list(forms)
-    lines = tuple(apartment_lines(forms))
-    family = VertexFamily(lines[0].ambient, lines)
-    return ApartmentReport(
-        dist_to_apartment=distance_to_family(family.ambient, family),
-        intersection_number=intersect_hyperplanes(forms),
-    )
+    number = intersect_hyperplanes(forms)  # validates the forms, raises when singular
+    cfg = CycleConfiguration(forms[0].ambient, [hyperplane_kernel(f) for f in forms])
+    family = VertexFamily(cfg.ambient, analyze(cfg).partials)
+    return ApartmentReport(dist_to_apartment=distance_to_family(cfg.ambient, family), intersection_number=number)
 
 
 def higherdim_vertex_family(cfg: CycleConfiguration, complements=None) -> VertexFamily:

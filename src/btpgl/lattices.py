@@ -6,15 +6,15 @@ K-spans, direct-sum complements, and the dual-form transform under a
 unimodular automorphism.
 
 The public constructors check their input: a basis's determinant is
-nonzero; a submodule's entries are p-integral, its columns K-independent and
-its given forms valid.  Values the library builds itself are valid by
-construction, so they take private constructors that check nothing:
+nonzero; a submodule's entries are p-integral, its columns K-independent
+(read from the echelon mod p it keeps, with a K-rank only when that echelon
+lacks a pivot) and its given forms valid.  Values the library builds itself
+are valid by construction, so they take private constructors that check
+nothing:
 
-* ``LatticeBasis._trusted``: the standard basis, each node of a BFS
+* ``LatticeBasis._trusted``: the standard basis and each node of a BFS
   ball, reference * H with H triangular with a p-power diagonal
-  (:func:`btpgl.building.bfs_ball`), and each member of a vertex family,
-  whose independence check proves every scaled direct sum full rank
-  (:meth:`btpgl.cycles.VertexFamily.member_lattice`), are nonsingular.
+  (:func:`btpgl.building.bfs_ball`), are nonsingular.
 * ``SplitSubmodule._trusted``: the kernel of a primitive form, with that form
   as its forms (the proof is in :func:`btpgl.cycles.hyperplane_kernel`); a
   saturation, whose columns are the first r columns of the unimodular
@@ -123,6 +123,9 @@ class SplitSubmodule:
 
     The coordinate vectors must be K-linearly independent and p-integral;
     whether the submodule is actually split is tested by :func:`is_split`.
+    The constructor computes and keeps their echelon mod p, which proves
+    them independent when it has a pivot per column; it takes a K-rank only
+    when it has fewer, which is a legal submodule that is not split.
     Rank 0 (no columns) is a legal value.  The forms vanishing on it may be
     given too, and are checked as :meth:`forms` describes them.
     """
@@ -138,7 +141,10 @@ class SplitSubmodule:
             for x in v:
                 if not ctx.is_integral(x):
                     raise NonIntegralEntry(f"entry {x} is not {ctx.p}-integral")
-        if cols and linalg.rank(linalg.transpose(cols)) != len(cols):
+        self._set(ambient, cols, forms)
+        # a K-relation between integral columns, scaled to least valuation 0,
+        # is a nonzero relation mod p: independent mod p is independent over K
+        if len(self.echelon()[1]) < len(cols) and linalg.rank(linalg.transpose(cols)) != len(cols):
             raise ValueError("coordinate columns are K-linearly dependent")
         if forms is not None:
             pivots = linalg.echelon_mod_p([list(map(ctx.residue, f)) for f in forms], ctx.p)[1]
@@ -146,7 +152,6 @@ class SplitSubmodule:
                 raise ValueError(f"need {n - len(cols)} forms independent mod p")
             if forms and any(map(any, linalg.matmul(cols, linalg.transpose(forms)))):
                 raise ValueError("a form does not vanish on the submodule")
-        self._set(ambient, cols, forms)
 
     def _set(self, ambient: LatticeBasis, cols: tuple, forms) -> None:
         object.__setattr__(self, "ambient", ambient)
@@ -172,7 +177,8 @@ class SplitSubmodule:
 
     def echelon(self):
         """Reduced row echelon form of the coordinate columns mod p, as
-        (rows, pivot positions); computed on first use and kept."""
+        (rows, pivot positions); computed on first use, by the public
+        constructor's column check, and kept."""
         if self._echelon is None:
             ctx = self.ambient.ctx
             ech = linalg.echelon_mod_p([list(map(ctx.residue, c)) for c in self.columns], ctx.p)

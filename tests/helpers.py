@@ -306,14 +306,44 @@ def exact_column_hnf(rows, p):
     return tuple(tuple(int(tri[j][i]) for j in range(n)) for i in range(n))
 
 
+def count_eliminations(monkeypatch):
+    """Count the integer eliminations from now on, under "eliminations":
+    each solve, inverse, rank and nullspace is one linalg._int_rref, each
+    determinant one linalg._bareiss."""
+    counts = {"eliminations": 0}
+    for name in ("_int_rref", "_bareiss"):
+
+        def counted(*args, _real=getattr(linalg, name)):
+            counts["eliminations"] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return counts
+
+
+def member_lattice(family: VertexFamily, exponents) -> LatticeBasis:
+    """The family member with generator j scaled by p^{k_j}, built column by
+    column: the oracle for the block-scaled transitions the library reads
+    members from."""
+    if len(exponents) != len(family.generators):
+        raise ValueError("need one exponent per generator")
+    p = family.ambient.ctx.p
+    cols = [
+        [Fraction(p) ** k * x for x in c]
+        for g, k in zip(family.generators, exponents)
+        for c in g.standard_columns()
+    ]
+    return LatticeBasis(family.ambient.ctx, cols)
+
+
 def member_window_keys(reference: LatticeBasis, family: VertexFamily):
     """Class keys of the family members in the exactness window, one member
     lattice and one class key each: the oracle for the block-scaled keys of
     :func:`btpgl.cycles.family_window_keys`."""
     m = len(family.generators)
-    b0 = smith_dist(reference, family.member_lattice((0,) * m))
+    b0 = smith_dist(reference, member_lattice(family, (0,) * m))
     return {
-        class_key(reference, family.member_lattice(kvec))
+        class_key(reference, member_lattice(family, kvec))
         for spread in range(2 * b0 + 1)
         for kvec in _tuples_with_spread(m - 1, spread)
     }

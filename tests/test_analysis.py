@@ -13,7 +13,7 @@ from btpgl.errors import RankMismatch
 from btpgl.lattices import DualForm, LatticeBasis, SplitSubmodule, is_split, same_submodule, saturate_coords
 from btpgl.padic import PAdicContext
 
-from helpers import fraction_span_fold
+from helpers import count_eliminations, fraction_span_fold
 
 
 def count_pass_calls(monkeypatch):
@@ -132,6 +132,38 @@ def test_hyperplane_cycles_come_from_their_forms(monkeypatch):
     counts["nullspace"] = 0
     assert len(cycles.apartment_lines(sample.forms)) == 5
     assert counts["nullspace"] <= 1
+
+
+def test_each_basis_is_eliminated_once(monkeypatch):
+    counts = count_eliminations(monkeypatch)
+
+    def taken():
+        n, counts["eliminations"] = counts["eliminations"], 0
+        return n
+
+    sample = cycles.random_instance(seed=5, n=5, p=3, d=5, max_val=3, mode="hyperplanes")
+    cfg = cycles.CycleConfiguration(sample.config.ambient, sample.config.submodules)
+    taken()
+    # L0's nullspace, the inverse of the forms, the family's inverse (its
+    # independence check and its transition) and the forms' determinant
+    assert cycles.verify_intersection_identity(cfg).agree and taken() == 4
+    report = cycles.apartment_distance_report(sample.forms)
+    assert report.dist_to_apartment <= report.intersection_number and taken() == 4
+    for mode, use in (("submodules", 7), ("higherdim", 6)):
+        sample = cycles.random_instance(seed=5, n=5, p=3, d=3, max_val=3, mode=mode)
+        data = serialize.instance_to_json(3, sample.config.ambient, sample.config.submodules)
+        taken()
+        cfg = serialize.parse_instance(data)[3]
+        # M's determinant; each cycle's columns are independent by the echelon
+        # mod p that also proves it split
+        assert taken() == 1
+        # one nullspace per cycle for its forms, L0's nullspace, the inverse
+        # of the forms, the family's inverse, and for c = n the determinant
+        if mode == "submodules":
+            assert cycles.verify_intersection_identity(cfg).agree
+        else:
+            cycles.decompose_intersection(cfg)
+        assert taken() == use
 
 
 def test_cli_intersect_higherdim_is_one_pass(tmp_path, monkeypatch, capsys):

@@ -38,6 +38,7 @@ from helpers import (
     dense_neighbor_keys,
     diagonal,
     exact_column_hnf,
+    member_lattice,
     one_sided_bfs_dist,
     random_lattice,
     random_unimodular,
@@ -672,7 +673,7 @@ def test_class_keys_take_no_determinant(monkeypatch):
     fam = vertex_family(sample.config)
     ref = sample.config.ambient
     m = len(fam.generators)
-    zero = fam.member_lattice((0,) * m)
+    zero = member_lattice(fam, (0,) * m)
     other = random_lattice(random.Random(3), ctx2, 3, 3)
     ranks = [g.rank for g in fam.generators]
     calls = []
@@ -687,7 +688,7 @@ def test_class_keys_take_no_determinant(monkeypatch):
     targets = building.block_scaled_keys(2, linalg.solve(ref.rows(), zero.rows()), ranks, window)
     bfs_dist(ref, other, targets, 2)
     assert calls == []
-    assert targets == {class_key(ref, fam.member_lattice(k)) for k in window}
+    assert targets == {class_key(ref, member_lattice(fam, k)) for k in window}
 
 
 @settings(deadline=None, max_examples=60)
@@ -802,9 +803,9 @@ def test_block_scaled_keys_match_member_keys(n, p, seed):
     sample = random_instance(seed=seed, n=n, p=p, d=n, max_val=2, mode="hyperplanes")
     fam = vertex_family(sample.config)
     m = len(fam.generators)
-    zero = fam.member_lattice((0,) * m)
+    zero = member_lattice(fam, (0,) * m)
     ranks = [g.rank for g in fam.generators]
     shifted = list(product(range(-1, 3), repeat=m))
     other = random_lattice(random.Random(seed), PAdicContext(p), n, 2)
     keys = building.block_scaled_keys(p, linalg.solve(other.rows(), zero.rows()), ranks, shifted)
-    assert keys == {class_key(other, fam.member_lattice(k)) for k in shifted}
+    assert keys == {class_key(other, member_lattice(fam, k)) for k in shifted}

@@ -49,10 +49,12 @@ from btpgl.padic import PAdicContext
 
 from helpers import (
     apply_automorphism,
+    count_eliminations,
     echeloned_special_fold,
     evaluate_coords,
     family_profile,
     fraction_inv,
+    member_lattice,
     member_window_keys,
     random_lattice,
     random_unimodular,
@@ -214,6 +216,24 @@ def test_vertex_family_requires_zero_dim_properness():
     f = DualForm(lat, (1, 2))
     with pytest.raises(ProperFail):
         vertex_family(CycleConfiguration(lat, [hyperplane_kernel(f), hyperplane_kernel(f)]))
+
+
+def test_vertex_family_checks_its_generators_by_their_inverse(monkeypatch):
+    lattice = std(ctx3, 3)
+    lines = [saturate_coords(lattice, [v]) for v in ((1, 0, 0), (1, 3, 0), (1, 1, 9), (1, 1, 0))]
+    with pytest.raises(ValueError, match="^generator spans are not independent$"):
+        VertexFamily(lattice, (lines[0], lines[1], lines[3]))
+    with pytest.raises(ValueError, match="^generator ranks must sum to the dimension$"):
+        VertexFamily(lattice, lines[:2])
+    # the inverse that proves the spans independent is the transition at the
+    # model, so the distance from the model eliminates nothing more
+    fam = VertexFamily(lattice, lines[:3])
+    assert fam._inverse == tuple(map(tuple, fraction_inv(linalg.transpose(fam.concatenated_columns()))))
+    counts = count_eliminations(monkeypatch)
+    distance = distance_to_family(lattice, fam)
+    assert counts["eliminations"] == 0
+    monkeypatch.undo()
+    assert distance == scan_distance_to_family(lattice, fam) == 3
 
 
 def overdetermined_empty_configs():
@@ -486,7 +506,7 @@ def test_family_member_distances_match_formula():
                 profile = family_profile(lattice, fam)
                 for _ in range(6):
                     kvec = tuple(rng.randrange(-2, 3) for _ in fam.generators)
-                    member = fam.member_lattice(kvec)
+                    member = member_lattice(fam, kvec)
                     assert profile.distance(kvec) == dist(lattice, member)
 
 
@@ -507,7 +527,7 @@ def _check_closed_form(lattice, fam):
     distance, witness = nearest_family_member(lattice, fam)
     assert distance_to_family(lattice, fam) == distance == scan_distance_to_family(lattice, fam)
     assert min(witness) == 0
-    assert smith_dist(lattice, fam.member_lattice(witness)) == distance
+    assert smith_dist(lattice, member_lattice(fam, witness)) == distance
 
 
 @settings(deadline=None)
@@ -676,7 +696,7 @@ def test_distance_at_the_model_is_the_distance_to_the_zero_member():
                     ambient = sample.config.ambient
                     m = len(fam.generators)
                     distance = distance_to_family(ambient, fam)
-                    assert distance == smith_dist(ambient, fam.member_lattice((0,) * m))
+                    assert distance == smith_dist(ambient, member_lattice(fam, (0,) * m))
                     counts["families"] += 1
                     counts["positive"] += distance > 0
                     # the scan oracle, where its window is small

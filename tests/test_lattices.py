@@ -293,6 +293,31 @@ def test_intersect_spans_edge_cases():
             assert intersect_spans(ambient, [whole]) == intersect_spans(ambient, [whole, whole])
 
 
+def test_split_submodule_columns_are_checked_by_their_echelon(monkeypatch):
+    # columns independent mod p are independent over K, so the echelon the
+    # module keeps decides split columns, and a K-rank runs only when it has
+    # fewer pivots than columns: a dependent pair is refused, an independent
+    # pair that is not split is a legal module
+    ambient = LatticeBasis.standard(ctx2, 3)
+    calls = []
+    monkeypatch.setattr(linalg, "rank", lambda a, _real=linalg.rank: calls.append(a) or _real(a))
+    echelons = []
+    monkeypatch.setattr(
+        linalg, "echelon_mod_p", lambda *a, _real=linalg.echelon_mod_p: echelons.append(a) or _real(*a)
+    )
+    split = SplitSubmodule(ambient, [(1, 0, 0), (0, 1, 4)])
+    assert (calls, len(echelons)) == ([], 1)
+    assert is_split(split) and len(echelons) == 1
+    with pytest.raises(ValueError, match="^coordinate columns are K-linearly dependent$"):
+        SplitSubmodule(ambient, [(1, 0, 0), (2, 0, 0)])
+    assert len(calls) == 1
+    non_split = SplitSubmodule(ambient, [(1, 0, 0), (0, 2, 0)])
+    assert len(calls) == 2 and not is_split(non_split)
+    assert len(echelons) == 3
+    with pytest.raises(ValueError, match="not split"):
+        non_split.forms()
+
+
 def _split_with_non_unit_first_pivot(rng, ambient, r):
     """A split rank r submodule whose columns all have a p-divisible first
     entry, nonzero in the first: p*x_k e_0 + e_{k+1} plus integral entries

@@ -3,7 +3,6 @@ they build must pass the public constructors' checks, and the trusted paths
 must make none of the calls those checks cost."""
 
 import random
-from itertools import product
 
 import pytest
 
@@ -92,14 +91,3 @@ def test_standard_and_bfs_ball_take_no_determinant(monkeypatch):
         assert building.class_key(center, lattice) == key
     assert LatticeBasis.standard(ctx, 4) == LatticeBasis(ctx, linalg.identity(4))
 
-
-def test_member_lattices_take_no_determinant(monkeypatch):
-    # the family's independence check proves every member full rank
-    sample = cycles.random_instance(seed=4, n=4, p=3, d=4, max_val=3, mode="hyperplanes")
-    fam = cycles.vertex_family(sample.config)
-    calls = _count(monkeypatch, linalg, ("det",))
-    members = [fam.member_lattice(k) for k in product(range(-1, 2), repeat=len(fam.generators))]
-    assert calls == []
-    monkeypatch.undo()
-    for lattice in members:
-        assert LatticeBasis(lattice.ctx, lattice.columns) == lattice
