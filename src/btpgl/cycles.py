@@ -21,7 +21,7 @@ without shared state.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -77,21 +77,23 @@ class CycleAnalysis:
 
     generic is L0, the saturation of the common K-intersection of the spans;
     special is the reduced echelon basis of the common F_p-intersection of
-    the reductions; properness classifies the two.  The complements S_j of
-    L0 in the partial intersections L_j, and the L_j themselves, are
-    computed on first use, all from one inverse.  It holds the cycles, not
-    the configuration that keeps it, so the two form no reference cycle.
+    the reductions; properness classifies the two.  The partial
+    intersections L_j and the complements S_j of L0 in them are computed
+    on first use, from one inverse (at c = n, :func:`analyze`'s).  It holds
+    the cycles, not the configuration that keeps it: no reference cycle.
     """
 
     submodules: tuple
     generic: SplitSubmodule
     special: tuple
     properness: PropernessReport
+    _inverse: list | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def complements(self) -> tuple:
         """S_j, a split complement of L0 in L_j, for each cycle j: the
-        saturation of block j of the first c columns of Q^{-1}.
+        saturation of block j of the first c columns of Q^{-1}, or of the
+        A^{-1} that :func:`analyze` took (then L0 = 0; dropped once read).
 
         A stacks every cycle's forms (c rows, grouped by cycle), N is L0's
         columns and J the pivots of N mod p, so N_J is a unit minor.  Q is
@@ -109,13 +111,16 @@ class CycleAnalysis:
         in X_j's K-span: w is in S_j, its saturation.  So L_j = L0 + S_j,
         direct, and the columns of L0 and S_j are a basis of L_j.
         """
-        l0 = self.generic
+        l0, q_inv = self.generic, self._inverse
         n = l0.ambient.dim
-        forms = [f for s in self.submodules for f in s.forms()]
-        pivots = l0.echelon()[1] if l0.rank else ()
-        if len(forms) + len(pivots) != n:
-            raise RankMismatch(f"the {len(forms)} forms of the cycles are dependent")
-        cols = linalg.transpose(linalg.inv(forms + [[int(i == j) for i in range(n)] for j in pivots]))
+        if q_inv is None:
+            forms = [f for s in self.submodules for f in s.forms()]
+            pivots = l0.echelon()[1] if l0.rank else ()
+            if len(forms) + len(pivots) != n:
+                raise RankMismatch(f"the {len(forms)} forms of the cycles are dependent")
+            q_inv = linalg.inv(forms + [[int(i == j) for i in range(n)] for j in pivots])
+        object.__setattr__(self, "_inverse", None)
+        cols = linalg.transpose(q_inv)
         ends = [0, *accumulate(n - s.rank for s in self.submodules)]
         return tuple(saturate_coords(l0.ambient, cols[a:b]) for a, b in zip(ends, ends[1:]))
 
@@ -274,13 +279,21 @@ def intersect_hyperplanes(forms) -> int:
 
 
 def analyze(cfg: CycleConfiguration) -> CycleAnalysis:
-    """Intersect the spans and fold the reductions once; classify properness.
+    """Intersect the spans and the reductions once; classify properness.
 
     With c the sum of the codimensions: for c = n the cycles meet properly
     exactly when the K-spans meet in 0 and the reductions meet in dimension
     at most 1 (dimension 0 is the empty case); for c < n the expected
     dimension r0 = n - c must be attained over K and the reduced intersection
     may exceed it by at most one.  Everything else is improper on the model.
+
+    At c = n, L0 = ker A is 0 exactly when the stacked forms A have an
+    inverse, and that one elimination also gives the L_j
+    (:attr:`CycleAnalysis.complements`); else :func:`intersect_spans` gives L0.
+    The special intersection is ker(A mod p): a split N_j reduces to the
+    span of its echelon's r_j rows, cut out by their (n - r_j)-dimensional
+    right kernel, so the common reduction is the kernel of all those kernels
+    stacked, echeloned once more to its canonical reduced form.
 
     The result is kept on the configuration, so every function below reads
     one analysis per configuration.
@@ -290,10 +303,12 @@ def analyze(cfg: CycleConfiguration) -> CycleAnalysis:
     n = cfg.ambient.dim
     c = cfg.codim_sum()
     p = cfg.ambient.ctx.p
-    generic = intersect_spans(cfg.ambient, cfg.submodules)
-    special = cfg.submodules[0].echelon()[0]
-    for s in cfg.submodules[1:]:
-        special = linalg.intersect_mod_p(special, s.echelon()[0], p)
+    forms = [f for s in cfg.submodules for f in s.forms()]
+    inverse = linalg.solve(forms, linalg.identity(n)) if c == n else None
+    generic = SplitSubmodule._trusted(cfg.ambient, ()) if inverse else intersect_spans(cfg.ambient, cfg.submodules)
+    annihilators = [a for s in cfg.submodules for a in linalg.kernel_mod_p(*s.echelon(), n, p)]
+    special = linalg.kernel_mod_p(*linalg.echelon_mod_p(annihilators, p), n, p)
+    special = linalg.echelon_mod_p(special, p)[0]
     generic_dim, special_dim = generic.rank, len(special)
     r0 = max(n - c, 0)
     if c > n:
@@ -309,6 +324,7 @@ def analyze(cfg: CycleConfiguration) -> CycleAnalysis:
         generic=generic,
         special=tuple(tuple(r) for r in special),
         properness=PropernessReport(kind=kind, r0=r0, generic_dim=generic_dim, special_dim=special_dim),
+        _inverse=inverse,
     )
     object.__setattr__(cfg, "_analysis", analysis)
     return analysis
@@ -439,7 +455,7 @@ def realized_forms(cfg: CycleConfiguration):
     Phi.  Two bases of Phi thus differ by a matrix in GL_{n-r}(R), and
     changing one cycle's block multiplies the determinant by a unit.
     """
-    return [DualForm(cfg.ambient, f) for s in cfg.submodules for f in s.forms()]
+    return [DualForm._trusted(cfg.ambient, f) for s in cfg.submodules for f in s.forms()]
 
 
 def verify_intersection_identity(cfg: CycleConfiguration) -> IdentityReport:
@@ -452,7 +468,7 @@ def verify_intersection_identity(cfg: CycleConfiguration) -> IdentityReport:
     codimensions sum to n and the configuration is proper.
 
     Why they agree.  Here c = n, so A, the stacked forms, is the matrix that
-    :attr:`CycleAnalysis.complements` inverts (J is empty), and generator a
+    :func:`analyze` inverts for :attr:`CycleAnalysis.complements`; generator a
     is S_a = (A^{-1})_a G_a, block a of A^{-1} saturated, G_a invertible.
     In :func:`nearest_family_member`, T^{-1} = F = A^{-1} G and T = G^{-1} A.
     A matrix B with a unit maximal minor, in rows or columns, keeps the least

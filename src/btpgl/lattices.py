@@ -8,9 +8,9 @@ unimodular automorphism.
 The public constructors check their input: a basis's determinant is
 nonzero; a submodule's entries are p-integral, its columns K-independent
 (read from the echelon mod p it keeps, with a K-rank only when that echelon
-lacks a pivot) and its given forms valid.  Values the library builds itself
-are valid by construction, so they take private constructors that check
-nothing:
+lacks a pivot) and its given forms valid; a form's coefficients are
+integral with a unit among them.  Values the library builds itself are
+valid by construction, so they take private constructors that check nothing:
 
 * ``LatticeBasis._trusted``: the standard basis and each node of a BFS
   ball, reference * H with H triangular with a p-power diagonal
@@ -27,6 +27,8 @@ nothing:
   so every element of L_j is one of L0 plus one of S_j: the columns are a
   basis of the saturated L_j (the proof is in
   :attr:`btpgl.cycles.CycleAnalysis.complements`).
+* ``DualForm._trusted``: a split module's :meth:`SplitSubmodule.forms`
+  are integral and independent mod p, so none is 0 mod p: each has a unit.
 
 All operations are pure functions on immutable values and are therefore
 thread-safe.
@@ -211,11 +213,6 @@ class SplitSubmodule:
             object.__setattr__(self, "_forms", tuple(tuple(v[k] for k in back) for v in null))
         return self._forms
 
-    def standard_columns(self):
-        """Basis vectors in the standard coordinates of K^n."""
-        rows = self.ambient.rows()
-        return [linalg.matvec(rows, list(c)) for c in self.columns]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SplitSubmodule)
@@ -253,6 +250,14 @@ class DualForm:
                 has_unit = True
         if not has_unit:
             raise ValueError("form is not primitive: no unit coefficient")
+
+    @classmethod
+    def _trusted(cls, ambient: LatticeBasis, coefficients: tuple) -> "DualForm":
+        """A form of a tuple of Fractions, built without the checks."""
+        form = cls.__new__(cls)
+        object.__setattr__(form, "ambient", ambient)
+        object.__setattr__(form, "coefficients", coefficients)
+        return form
 
 
 @dataclass(frozen=True)
@@ -385,13 +390,23 @@ def is_split(sub: SplitSubmodule) -> bool:
 
 def saturate_coords(ambient: LatticeBasis, kvectors) -> SplitSubmodule:
     """Saturation (K-span intersected with the lattice) of vectors given in
-    ambient coordinates.  Always returns a split submodule."""
+    ambient coordinates.  Always returns a split submodule.
+
+    One nonzero vector v saturates to v / v_i, i its first entry of least
+    valuation, bit for bit the first column of C^{-1} that :func:`_eliminate`
+    gives for v as an n x 1 matrix: its one step swaps rows 0 and i, so that
+    column is e_i, then writes m = v_j / v_i at j for each other nonzero v_j.
+    """
     ctx = ambient.ctx
     n = ambient.dim
     vecs = [_to_fraction_vector(v, n) for v in kvectors]
     vecs = [v for v in vecs if any(v)]
     if not vecs:
         return SplitSubmodule._trusted(ambient, ())
+    if len(vecs) == 1:
+        vals = [ctx.val(x) for x in vecs[0]]
+        pivot = vecs[0][vals.index(min(vals))]
+        return SplitSubmodule._trusted(ambient, (tuple(x / pivot for x in vecs[0]),))
     u = [[v[i] for v in vecs] for i in range(n)]
     p_cols = linalg.identity(n)
     r = len(_eliminate(ctx, u, p_cols)[1])

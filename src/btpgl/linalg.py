@@ -23,7 +23,8 @@ from math import gcd, lcm, prod
 
 
 def identity(n: int):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    zero, one = Fraction(0), Fraction(1)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def copy_matrix(a):
@@ -205,6 +206,13 @@ def echelon_mod_p(rows, p):
         if r == nrows:
             break
     return a[:r], pivots
+
+
+def kernel_mod_p(rows, pivots, n, p):
+    """Basis of the right kernel in F_p^n of reduced echelon rows with these
+    pivots: for each free column f, e_f minus the rows' column f at their pivots."""
+    at = dict(zip(pivots, rows))
+    return [[-at[i][f] % p if i in at else int(i == f) for i in range(n)] for f in range(n) if f not in at]
 
 
 def intersect_mod_p(a_rows, b_rows, p):

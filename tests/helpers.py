@@ -327,11 +327,11 @@ def member_lattice(family: VertexFamily, exponents) -> LatticeBasis:
     members from."""
     if len(exponents) != len(family.generators):
         raise ValueError("need one exponent per generator")
-    p = family.ambient.ctx.p
+    p, rows = family.ambient.ctx.p, family.ambient.rows()
     cols = [
-        [Fraction(p) ** k * x for x in c]
+        [Fraction(p) ** k * x for x in linalg.matvec(rows, list(c))]
         for g, k in zip(family.generators, exponents)
-        for c in g.standard_columns()
+        for c in g.columns
     ]
     return LatticeBasis(family.ambient.ctx, cols)
 

@@ -63,17 +63,17 @@ def test_verify_is_one_pass(monkeypatch):
     counts = count_pass_calls(monkeypatch)
     report = cycles.verify_intersection_identity(cfg)
     assert report.agree
-    # one span intersection for L0, whose kernel is the one nullspace; the
-    # L_j come from one inverse; one mod-p echelon per F_p-intersection of
-    # the fold (4 here), none for L0 (it is 0 when c = n) and none for the
-    # realized forms, which are the cycles' forms
+    # at c = n the inverse of the stacked forms proves L0 = 0 and gives the
+    # L_j, so no span intersection or nullspace runs; the special fibre is
+    # one mod-p echelon of the stacked annihilators and one of their
+    # kernel, and the realized forms are the cycles' forms
     assert counts["classify"] == 1
-    assert counts["intersect_spans"] == counts["nullspace"] == 1
-    assert counts["echelon_mod_p"] <= 4
+    assert counts["intersect_spans"] == counts["nullspace"] == 0
+    assert counts["echelon_mod_p"] == 2
     # the family check of a campaign reads the same analysis
     cycles.vertex_family(cfg)
     assert counts["classify"] == 1
-    assert counts["intersect_spans"] == counts["nullspace"] == 1
+    assert counts["intersect_spans"] == counts["nullspace"] == 0
 
 
 def test_partials_are_one_inverse(monkeypatch):
@@ -83,9 +83,10 @@ def test_partials_are_one_inverse(monkeypatch):
         analysis = cycles.analyze(cfg)
         counts = count_pass_calls(monkeypatch)
         assert len(analysis.partials) == d
-        # one inverse of the completed form matrix and one saturation per
-        # cycle; no span intersection, nullspace or complement completion
-        assert counts["inv"] == 1
+        # one inverse of the completed form matrix, taken by analyze at
+        # c = n, and one saturation per cycle; no span intersection,
+        # nullspace or complement completion
+        assert counts["inv"] == (mode == "higherdim")
         assert counts["saturate_coords"] == d
         assert counts["intersect_spans"] == counts["nullspace"] == counts["complete_to_complement"] == 0
         if mode == "higherdim":
@@ -101,9 +102,9 @@ def test_verify_computes_each_cycles_forms_once(monkeypatch):
     cfg = serialize.parse_instance(data)[3]
     counts = count_pass_calls(monkeypatch)
     assert cycles.verify_intersection_identity(cfg).agree
-    # one nullspace per cycle for its forms and one for L0; the L_j come
-    # from one inverse and the realized forms are the cycles' forms
-    assert counts["nullspace"] <= len(cfg.submodules) + 1 == 6
+    # one nullspace per cycle for its forms; L0 = 0 and the L_j come from
+    # one inverse, and the realized forms are the cycles' forms
+    assert counts["nullspace"] == len(cfg.submodules) == 5
 
 
 def test_verify_saturates_only_the_intersections(monkeypatch):
@@ -112,10 +113,10 @@ def test_verify_saturates_only_the_intersections(monkeypatch):
     cfg = serialize.parse_instance(data)[3]
     counts = count_pass_calls(monkeypatch)
     assert cycles.verify_intersection_identity(cfg).agree
-    # one saturation for L0 and one per L_j: each cycle's forms are already an
-    # R-basis; the F_p fold reads the echelon that parsing kept when it
-    # checked each cycle is split, so no coordinate is reduced again
-    assert counts["saturate_coords"] <= len(cfg.submodules) + 1 == 6
+    # one saturation per L_j, none for L0 = 0: each cycle's forms are already
+    # an R-basis; the special fibre reads the echelon that parsing kept when
+    # it checked each cycle is split, so no coordinate is reduced again
+    assert counts["saturate_coords"] == len(cfg.submodules) == 5
     assert counts["residue"] == 0
 
 
@@ -127,11 +128,10 @@ def test_hyperplane_cycles_come_from_their_forms(monkeypatch):
     # each kernel is a closed form that keeps its form
     assert counts["nullspace"] == counts["saturate_coords"] == 0
     assert cycles.verify_intersection_identity(cfg).agree
-    # one nullspace for L0; the L_j come from one inverse
-    assert counts["nullspace"] == 1
-    counts["nullspace"] = 0
+    # L0 = 0 and the L_j come from one inverse of the forms
+    assert counts["intersect_spans"] == counts["nullspace"] == 0
     assert len(cycles.apartment_lines(sample.forms)) == 5
-    assert counts["nullspace"] <= 1
+    assert counts["intersect_spans"] == counts["nullspace"] == 0
 
 
 def test_each_basis_is_eliminated_once(monkeypatch):
@@ -144,12 +144,12 @@ def test_each_basis_is_eliminated_once(monkeypatch):
     sample = cycles.random_instance(seed=5, n=5, p=3, d=5, max_val=3, mode="hyperplanes")
     cfg = cycles.CycleConfiguration(sample.config.ambient, sample.config.submodules)
     taken()
-    # L0's nullspace, the inverse of the forms, the family's inverse (its
-    # independence check and its transition) and the forms' determinant
-    assert cycles.verify_intersection_identity(cfg).agree and taken() == 4
+    # the inverse of the forms (which proves L0 = 0), the family's inverse
+    # (its independence check and its transition) and the forms' determinant
+    assert cycles.verify_intersection_identity(cfg).agree and taken() == 3
     report = cycles.apartment_distance_report(sample.forms)
-    assert report.dist_to_apartment <= report.intersection_number and taken() == 4
-    for mode, use in (("submodules", 7), ("higherdim", 6)):
+    assert report.dist_to_apartment <= report.intersection_number and taken() == 3
+    for mode, use in (("submodules", 6), ("higherdim", 6)):
         sample = cycles.random_instance(seed=5, n=5, p=3, d=3, max_val=3, mode=mode)
         data = serialize.instance_to_json(3, sample.config.ambient, sample.config.submodules)
         taken()
@@ -157,8 +157,9 @@ def test_each_basis_is_eliminated_once(monkeypatch):
         # M's determinant; each cycle's columns are independent by the echelon
         # mod p that also proves it split
         assert taken() == 1
-        # one nullspace per cycle for its forms, L0's nullspace, the inverse
-        # of the forms, the family's inverse, and for c = n the determinant
+        # one nullspace per cycle for its forms, the inverse of the forms,
+        # the family's inverse, and for c = n the determinant; for c < n
+        # L0's nullspace instead of the determinant
         if mode == "submodules":
             assert cycles.verify_intersection_identity(cfg).agree
         else:

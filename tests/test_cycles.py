@@ -783,9 +783,10 @@ def _reduced_points(sub):
 
 
 def _oracle_properness(cfg):
-    """The classification of :func:`analyze`'s docstring, with the special
-    dimension counted as the points of F_p^n in every reduced span and the
-    generic one from a sympy rank over Q of the forms of the spans."""
+    """(kind, generic_dim, special_dim) by the classification of
+    :func:`analyze`'s docstring, with the special dimension counted as the
+    points of F_p^n in every reduced span and the generic one from a sympy
+    rank over Q of the forms of the spans."""
     n, p = cfg.ambient.dim, cfg.ambient.ctx.p
     points = len(set.intersection(*(_reduced_points(s) for s in cfg.submodules)))
     special_dim = next(k for k in range(n + 1) if p**k == points)
@@ -797,12 +798,14 @@ def _oracle_properness(cfg):
     r0 = max(n - c, 0)
     if c > n:
         # no dimension is expected: proper only when the reductions miss
-        return Properness.EMPTY_INTERSECTION if special_dim == 0 else Properness.IMPROPER
-    if generic_dim != r0 or special_dim > r0 + 1:
-        return Properness.IMPROPER
-    if c < n:
-        return Properness.PROPER_HIGHER_DIM
-    return Properness.PROPER_0DIM if special_dim else Properness.EMPTY_INTERSECTION
+        kind = Properness.EMPTY_INTERSECTION if special_dim == 0 else Properness.IMPROPER
+    elif generic_dim != r0 or special_dim > r0 + 1:
+        kind = Properness.IMPROPER
+    elif c < n:
+        kind = Properness.PROPER_HIGHER_DIM
+    else:
+        kind = Properness.PROPER_0DIM if special_dim else Properness.EMPTY_INTERSECTION
+    return kind, generic_dim, special_dim
 
 
 def _built_improper(rng, p):
@@ -846,19 +849,25 @@ def test_properness_matches_an_independent_oracle(monkeypatch):
                     random_instance(seed, n, p, d, max_val=3, mode=mode)
     built = [cfg for p in (2, 3) for cfg in _built_improper(random.Random(p), p)]
     kinds = set()
+    singular = {"built": 0, "hyperplanes": 0, "submodules": 0}
     for mode, cfg in drawn + [("built", cfg) for cfg in built]:
-        kind = properness_check(cfg).kind
-        assert kind is _oracle_properness(cfg)
-        if mode == "hyperplanes":
-            # proper in dimension 0 iff the matrix A of the drawn forms (each
-            # kernel keeps its form) has det A != 0 and rank(A mod p) = n - 1
-            n = cfg.ambient.dim
-            forms = [s.forms()[0] for s in cfg.submodules]
+        report = properness_check(cfg)
+        assert (report.kind, report.generic_dim, report.special_dim) == _oracle_properness(cfg)
+        n = cfg.ambient.dim
+        if cfg.codim_sum() == n:
+            # A, the cycles' forms stacked (a hyperplane kernel keeps its
+            # form), is square: proper in dimension 0 iff det A != 0 and
+            # rank(A mod p) = n - 1, empty iff det A != 0 and the rank is n
+            forms = [f for s in cfg.submodules for f in s.forms()]
             finite, zeros = sympy_invariant_exponents(forms, cfg.ambient.ctx.p)
-            assert (zeros == 0 and finite.count(0) == n - 1) == (kind is Properness.PROPER_0DIM)
-        kinds.add(kind)
+            assert (zeros == 0 and finite.count(0) == n - 1) == (report.kind is Properness.PROPER_0DIM)
+            assert (zeros == 0 and finite.count(0) == n) == (report.kind is Properness.EMPTY_INTERSECTION)
+            # a singular A takes analyze's route through intersect_spans
+            singular[mode] += zeros > 0
+        kinds.add(report.kind)
     assert all(properness_check(cfg).kind is Properness.IMPROPER for cfg in built)
     assert kinds == set(Properness)
+    assert all(singular.values()), singular
 
 
 def test_split_configuration_has_the_same_family_distance():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from btpgl import cycles, linalg
 from btpgl.errors import NonIntegralEntry, NotSplitInside, NotUnimodular
@@ -11,6 +12,7 @@ from btpgl.lattices import (
     DualForm,
     LatticeBasis,
     SplitSubmodule,
+    _eliminate,
     complete_to_complement,
     intersect_spans,
     invariant_exponents,
@@ -218,6 +220,33 @@ def test_saturate_is_idempotent_and_split():
             assert is_split(sat)
             again = saturate_coords(std, sat.columns)
             assert same_submodule(sat, again)
+
+
+@st.composite
+def _line_vectors(draw):
+    """(p, v, zeros): a nonzero vector of K^n, n = 1..6, whose entries are
+    0 or a unit times a power of p, exponents -3..3, and zero vectors to
+    put before it."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    units = st.integers(1, 3 * p).filter(lambda u: u % p).map(Fraction)
+    scaled = st.builds(lambda u, s, e: s * u * Fraction(p) ** e, units, st.sampled_from([1, -1]), st.integers(-3, 3))
+    v = draw(st.lists(st.just(Fraction(0)) | scaled, min_size=n, max_size=n).filter(any))
+    return p, v, draw(st.integers(0, 2))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_line_vectors())
+def test_line_saturation_is_the_eliminations_column(data):
+    # one vector saturates in closed form; the first column of C^{-1} that
+    # _eliminate tracks for it as an n x 1 matrix must be the same, entry
+    # for entry and type for type
+    p, v, zeros = data
+    ctx, n = PAdicContext(p), len(v)
+    p_cols = linalg.identity(n)
+    assert len(_eliminate(ctx, [[x] for x in v], p_cols)[1]) == 1
+    (col,) = saturate_coords(LatticeBasis.standard(ctx, n), [[0] * n] * zeros + [v]).columns
+    assert [(type(x), x) for x in col] == [(type(x), x) for x in p_cols[0]]
 
 
 def test_intersect_spans_examples():
