@@ -10,15 +10,18 @@ lines (:func:`btpgl.cycles.nearest_family_member`).
 Distances in production code always go through the closed form of
 :func:`dist`, the least entry valuations of a transition and its inverse;
 BFS exists purely as an independent oracle.  A class key is the column
-Hermite form over Z_(p) of the transition from the reference; every key of a
-lattice comes from :func:`class_key`, and every Hermite form from one exact
-reduction of a triangular basis (:func:`_reduce_triangular`).  That form is
-itself an integer transition of its class, so every BFS frontier entry is a
-key.  A lattice's triangular basis comes from one elimination modulo a
-power of p that certifies itself, with no determinant
-(:func:`_key_from_integer_rows`).  A neighbour's triangular basis is its
-parent's Hermite form times one triangular basis change per subspace of
-F_p^n (:func:`_neighbor_keys`), with no determinant and no modular
+Hermite form over Z_(p) of the transition from the reference, and every
+Hermite form comes from one exact reduction of a triangular basis
+(:func:`_reduce_triangular`).  That form is itself an integer transition of
+its class, so every BFS frontier entry is a key.  A lattice given by a basis
+(:func:`class_key`), and the all-zero member of a family window, get their
+triangular basis from one elimination modulo a power of p that certifies
+itself, with no determinant (:func:`_key_from_integer_rows`).  Every other
+key is one step from a key already built: a Hermite form times one
+triangular basis change (:func:`_triangular_step`), per subspace of F_p^n
+for a neighbour (:func:`_neighbor_keys`), and for a window member per block
+scaled by p, the change read from one kernel mod p
+(:func:`block_scaled_keys`); a step needs no determinant and no modular
 elimination.  The BFS searches from both ends, from the start class and
 from the target keys, expanding the smaller frontier one layer at a time.
 
@@ -32,8 +35,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import EnumerationTooLarge
@@ -197,18 +201,88 @@ def block_scaled_keys(p: int, transition, ranks, exponent_tuples) -> set:
     column blocks, of sizes `ranks`, by p^{k_a}, one per tuple k.
 
     With T the transition scaled to integers (:func:`_integer_rows`), the
-    member k has transition T * D_k, D_k = diag(p^{k_a}) blockwise; dividing
-    by p^{min k}, a homothety, keeps it integral, so one integer matrix
-    serves every member.
+    member k is L_k = T D_k R^n, D_k = diag(p^{k_a}) blockwise.  Adding a
+    constant to k is a homothety, so each tuple is shifted to least entry 0,
+    and S is the largest entry left.  Only L_0 = T R^n is keyed from its
+    transition (:func:`_key_from_integer_rows`).  Every other member k is one
+    triangular step from k - e_a, a the first block holding k's largest
+    entry: the walk goes down from k to the nearest member already keyed and
+    back up, in a loop, so a member's predecessor need not be listed, nor
+    listed first.  Each member keeps its key and the c with L_k = p^c H R^n,
+    H its Hermite form; L_0 has c = 0, and c >= 0 as L_k <= L_0 <= R^n and
+    H has a unit entry.
+
+    The step.  With G = T^{-1} and G_a its rows of block a, x lies in L_k
+    iff G x lies in D_k R^n, iff G_a x lies in p^{k_a} R^{r_a} for every
+    block a; so L_{k+e_a} = {x in L_k : G_a x in p^{k_a+1} R^{r_a}}.  For
+    x = p^c H y the product M = p^{c-k_a} G_a H is integral, and x lies in
+    L_{k+e_a} iff M y = 0 mod p, iff y mod p lies in W = ker(M mod p).  So
+    L_{k+e_a} = p^c H B_W R^n, B_W of :func:`_kernel_transform`, and M mod p
+    is not 0, as L_{k+e_a} < L_k.  As pL_k <= L_{k+e_a} <= L_k,
+    :func:`_triangular_step` gives the key of H B_W and the shift that c
+    grows by.  With p^g G integral, e = g + k_a - c >= 0, since p^g G_a H =
+    p^e M is integral and M mod p is not 0; and e < g + S.  So M mod p is
+    (p^g G_a H mod p^{e+1}) / p^e, which needs p^g G only modulo p^{g+S+1},
+    reduced to integers once.  No member gets a determinant, a modulus
+    doubling or a pivot search.
     """
     t = _integer_rows(p, transition)
-    keys = set()
+    members = set()
     for kvec in exponent_tuples:
         lo = min(kvec)
-        scales = [p ** (k - lo) for k, rank in zip(kvec, ranks) for _ in range(rank)]
-        scaled = [[x * s for x, s in zip(row, scales)] for row in t]
-        keys.add(_key_from_integer_rows(p, _normalize_p_power(scaled, p)[0]))
-    return keys
+        members.add(tuple(k - lo for k in kvec) if lo else tuple(kvec))
+    n, top = len(t), max(map(max, members), default=0)
+    g_inv = linalg.inv(t)
+    # p^g G = (d G) / (d / p^g), d the lcm of G's reduced denominators and
+    # g = val d, so that p^g G is integral
+    d = lcm(*(x.denominator for row in g_inv for x in row))
+    g = int_val(d, p)
+    mod = p ** (g + top + 1)
+    unit = pow(d // p**g, -1, mod)
+    gz = [[x.numerator * (d // x.denominator) * unit % mod for x in row] for row in g_inv]
+    ends = [0, *accumulate(ranks)]
+    blocks = [gz[a:b] for a, b in zip(ends, ends[1:])]
+    done = {(0,) * len(ranks): (_key_from_integer_rows(p, t), 0)}
+    for kvec in members:
+        path = []
+        while kvec not in done:
+            ka = max(kvec)
+            a = kvec.index(ka)
+            path.append((kvec, a))
+            kvec = (*kvec[:a], ka - 1, *kvec[a + 1 :])
+        key, c = done[kvec]
+        for kvec, a in reversed(path):
+            hcols = tuple(zip(*key.hnf))
+            pe = p ** (g + kvec[a] - 1 - c)
+            rows = [[sum(map(mul, grow, hc)) % (pe * p) // pe for hc in hcols] for grow in blocks[a]]
+            cols, shift = _triangular_step(p, hcols, _kernel_transform(rows, n, p))
+            key, c = done[kvec] = ClassKey(tuple(zip(*cols))), c + shift
+    return {done[kvec][0] for kvec in members}
+
+
+def _kernel_transform(rows, n: int, p: int):
+    """The basis change B_W of :func:`_triangular_transforms` for W the
+    right kernel of the rows mod p, as sparse columns: p e_j at each pivot j
+    of their reduced echelon form, and at each free column f the kernel
+    vector e_f minus the echelon rows' entries f at their pivots, all above
+    f.  One nonzero row v, a block of rank 1 as every block of a hyperplane
+    family, is its own echelon form divided by its first nonzero entry v_l:
+    its one pivot is l, and column f > l is e_f - (v_f/v_l) e_l."""
+    if len(rows) == 1:
+        (row,) = rows
+        first = 0
+        while not row[first]:
+            first += 1
+        unit = p - pow(row[first], -1, p)
+        out = [((j, 1),) for j in range(n)]
+        out[first] = ((first, p),)
+        for j in range(first + 1, n):
+            if row[j]:
+                out[j] = ((first, row[j] * unit % p), (j, 1))
+        return out
+    ech, pivots = linalg.echelon_mod_p(rows, p)
+    free = iter(linalg.kernel_mod_p(ech, pivots, n, p))
+    return [((j, p),) if j in pivots else [(i, x) for i, x in enumerate(next(free)) if x] for j in range(n)]
 
 
 def adjacent(l1: LatticeBasis, l2: LatticeBasis) -> bool:
@@ -351,6 +425,42 @@ def _check_search_size(n: int, p: int, radius: int, ntargets: int) -> None:
         layers.append(deg * (deg - 1) ** s)
 
 
+def _triangular_step(p: int, hcols, bw):
+    """The columns of the class key of N = H B R^n, and s in {0, 1} with
+    N = p^s (that key's form) R^n: for H a Hermite form of least entry
+    valuation 0, given as columns, and B upper triangular with diagonal 1
+    or p, given as sparse columns, such that pL <= N <= L for L = H R^n.
+
+    H*B is upper triangular with p-power diagonal, so :func:`_reduce_triangular`
+    gives its Hermite form.  The least entry valuation s of a basis of N is
+    the largest s with N in p^s Z_(p)^n, so it is the same for every basis
+    of N, the transition a key is normalized from included; and dividing a
+    reduced form by p^s leaves it reduced.  Since pL <= N <= L and H has an
+    entry of valuation 0, s is 0 or 1: it is 1 exactly when p divides every
+    entry, which a diagonal entry 1 rules out at once.  So no determinant,
+    modulus or pivot search is needed.
+    """
+    cols = []
+    for terms in bw:
+        terms = iter(terms)
+        i, c = next(terms)
+        col = list(hcols[i]) if c == 1 else [c * x for x in hcols[i]]
+        for i, c in terms:
+            hc = hcols[i]
+            for r in range(i + 1):
+                col[r] += c * hc[r]
+        cols.append(col)
+    _reduce_triangular(cols)
+    for j in range(len(cols)):
+        if cols[j][j] == 1:
+            return cols, 0
+    for col in cols:
+        for x in col:
+            if x % p:
+                return cols, 0
+    return [[x // p for x in col] for col in cols], 1
+
+
 def _neighbor_keys(p: int, hnf, transforms):
     """Class key of each neighbour of the class whose key has Hermite form
     `hnf`, in transform order.
@@ -358,31 +468,12 @@ def _neighbor_keys(p: int, hnf, transforms):
     H = hnf is upper triangular with diagonal p^{e_j}, entries above it
     reduced, and least entry valuation 0; it is an integer transition of its
     class.  For each B_W of :func:`_triangular_transforms`, the columns of
-    H*B_W span the neighbour that W names, and H*B_W is upper triangular
-    with diagonal p^{d_j}, d_j = e_j + [j is not a pivot of W], so
-    :func:`_reduce_triangular` gives the neighbour's Hermite form.  The least
-    entry valuation s of a basis is the largest s with M in p^s Z_(p)^n, so
-    it is the same for every basis of M, the transition a key is normalized
-    from included; and dividing a reduced form by p^s leaves it reduced.
-    Since pL <= M <= L and L has an entry of valuation 0, s is 0 or 1: it
-    is 1 exactly when p divides every entry.  So no determinant, modulus or
-    pivot search is needed.
+    H*B_W span the neighbour that W names, between pL and L, so
+    :func:`_triangular_step` gives the neighbour's Hermite form.
     """
     hcols = tuple(zip(*hnf))
-    n = len(hcols)
     for bw in transforms:
-        cols = []
-        for terms in bw:
-            col = [0] * n
-            for i, c in terms:
-                hc = hcols[i]
-                for r in range(i + 1):
-                    col[r] += c * hc[r]
-            cols.append(col)
-        _reduce_triangular(cols)
-        if not any(x % p for col in cols for x in col):
-            cols = [[x // p for x in col] for col in cols]
-        yield ClassKey(tuple(zip(*cols)))
+        yield ClassKey(tuple(zip(*_triangular_step(p, hcols, bw)[0])))
 
 
 def neighbors(reference: LatticeBasis, lattice: LatticeBasis):

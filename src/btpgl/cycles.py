@@ -239,7 +239,8 @@ class InstanceSample:
 
 
 def hyperplane_kernel(form: DualForm) -> SplitSubmodule:
-    """The split rank n-1 kernel of a primitive form a, kept with a as its forms.
+    """The split rank n-1 kernel of a primitive form a, kept with a as its
+    forms and with its echelon mod p.
 
     With a_j the first unit entry, the columns e_i - (a_i/a_j) e_j (i != j)
     are integral and a kills them.  Mod p they hold the identity off
@@ -247,16 +248,33 @@ def hyperplane_kernel(form: DualForm) -> SplitSubmodule:
     saturation.  The forms vanishing on it are the c*a, c in K, and c*a is
     integral iff c*a_j is, iff c is; so R*a is every integral one.  This
     proves every check of the public constructor, so the module skips them.
+
+    Mod p the columns are independent and a kills them, so they span
+    ker(a mod p), of dimension n-1.  With l the last index where a_l is a
+    unit, a kills each row e_i - (a_i/a_l) e_l (i != l) mod p; its first
+    nonzero entry is 1 at i (for i > l, a_i = 0 mod p and the row is e_i),
+    and it is 0 at every other index but l.  So these rows are the reduced
+    row echelon form of the columns mod p, with pivots every i != l, read
+    from the n residues of a with no column reduced.
     """
-    a, n = form.coefficients, form.ambient.dim
-    j = next(i for i in range(n) if form.ambient.ctx.is_unit(a[i]))
+    a, n, ctx = form.coefficients, form.ambient.dim, form.ambient.ctx
+    j = next(i for i in range(n) if ctx.is_unit(a[i]))
     zero, one = Fraction(0), Fraction(1)
     cols = tuple(
         tuple(-a[i] / a[j] if k == j else one if k == i else zero for k in range(n))
         for i in range(n)
         if i != j
     )
-    return SplitSubmodule._trusted(form.ambient, cols, forms=(a,))
+    p, residues = ctx.p, [ctx.residue(x) for x in a]
+    last = max(i for i in range(n) if residues[i])
+    scale = -pow(residues[last], -1, p)
+    rows = tuple(
+        tuple(residues[i] * scale % p if k == last else int(k == i) for k in range(n))
+        for i in range(n)
+        if i != last
+    )
+    echelon = (rows, tuple(i for i in range(n) if i != last))
+    return SplitSubmodule._trusted(form.ambient, cols, forms=(a,), echelon=echelon)
 
 
 def intersect_hyperplanes(forms) -> int:
@@ -405,13 +423,21 @@ def _window(reference: LatticeBasis, family: VertexFamily):
     """The number of keys of :func:`family_window_keys`, (S+1)^m - S^m with
     S = 2*B0 (distinct tuples are distinct classes), and a function that
     builds them.  B0 is dist(0) of :func:`nearest_family_member`,
-    -(min V + min U), and T^{-1} is the transition to the all-zero member."""
+    -(min V + min U), and T^{-1} is the transition to the all-zero member.
+    The tuples are listed by the position i of their first 0, entries
+    before it in [1, S] and after it in [0, S], so each comes once and none
+    of the S^m tuples without a 0 is visited."""
     p = reference.ctx.p
     t, t_inv = _family_transition(reference, family)
     s = -2 * (_min_val(p, t) + _min_val(p, t_inv))
     ranks = [g.rank for g in family.generators]
     m = len(ranks)
-    window = (k for k in product(range(s + 1), repeat=m) if 0 in k)
+    window = (
+        (*head, 0, *tail)
+        for i in range(m)
+        for head in product(range(1, s + 1), repeat=i)
+        for tail in product(range(s + 1), repeat=m - 1 - i)
+    )
     return (s + 1) ** m - s**m, lambda: block_scaled_keys(p, t_inv, ranks, window)
 
 
@@ -423,8 +449,9 @@ def family_window_keys(reference: LatticeBasis, family: VertexFamily):
     tuple in [0, S]^m that contains 0.  The whole window is enumerated, and
     a window of more keys than the enumeration cap raises
     EnumerationTooLarge before any key is built.  Each member is the
-    all-zero member with its generator blocks scaled, so its key comes from
-    the one transition to it (:func:`block_scaled_keys`)."""
+    all-zero member with its generator blocks scaled: that one member is
+    keyed from its transition, and every other member by one triangular
+    step from a member with one exponent less (:func:`block_scaled_keys`)."""
     size, keys = _window(reference, family)
     cap = enumeration_cap()
     if size > cap:

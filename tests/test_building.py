@@ -19,16 +19,18 @@ from btpgl.building import (
     render_dot,
 )
 from btpgl.cycles import (
+    CycleConfiguration,
     VertexFamily,
     distance_to_family,
     family_window_keys,
+    hyperplane_kernel,
     nearest_family_member,
     random_instance,
     verify_intersection_identity,
     vertex_family,
 )
 from btpgl.errors import EnumerationTooLarge
-from btpgl.lattices import LatticeBasis, saturate_coords
+from btpgl.lattices import DualForm, LatticeBasis, saturate_coords
 from btpgl.padic import PAdicContext, int_val
 
 from helpers import (
@@ -39,6 +41,7 @@ from helpers import (
     diagonal,
     exact_column_hnf,
     member_lattice,
+    member_window_keys,
     one_sided_bfs_dist,
     random_lattice,
     random_unimodular,
@@ -809,3 +812,44 @@ def test_block_scaled_keys_match_member_keys(n, p, seed):
     other = random_lattice(random.Random(seed), PAdicContext(p), n, 2)
     keys = building.block_scaled_keys(p, linalg.solve(other.rows(), zero.rows()), ranks, shifted)
     assert keys == {class_key(other, member_lattice(fam, k)) for k in shifted}
+
+
+def test_family_window_keys_take_one_elimination(monkeypatch):
+    # the all-zero member is keyed from its transition; the other 60 members
+    # of the window are one triangular step each from a member already keyed
+    sample = random_instance(seed=3, n=3, p=2, d=3, max_val=3, mode="hyperplanes")
+    fam = vertex_family(sample.config)
+    ref = sample.config.ambient
+    calls = {"key": 0, "det": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(building, "_key_from_integer_rows", counting("key", building._key_from_integer_rows))
+    monkeypatch.setattr(linalg, "int_det", counting("det", linalg.int_det))
+    keys = family_window_keys(ref, fam)
+    assert len(keys) == 61
+    assert calls == {"key": 1, "det": 0}
+    monkeypatch.undo()
+    assert keys == member_window_keys(ref, fam)
+
+
+def test_deep_window_walks_without_recursion():
+    # criterion 4's forms (1,0), (1,2^600): B0 = 600, so the window holds
+    # 2*1200 + 1 members over a spread of 1200, whose walks are deeper than
+    # the interpreter's frame limit; listed in reverse, no member's
+    # predecessor comes before it
+    std = LatticeBasis.standard(ctx2, 2)
+    forms = [DualForm(std, (1, 0)), DualForm(std, (1, 2**600))]
+    fam = vertex_family(CycleConfiguration(std, [hyperplane_kernel(f) for f in forms]))
+    t_inv = linalg.solve(std.rows(), member_lattice(fam, (0, 0)).rows())
+    window = [(0, k) for k in range(1201)] + [(k, 0) for k in range(1, 1201)]
+    keys = family_window_keys(std, fam)
+    assert len(keys) == len(window) == 2401
+    assert building.block_scaled_keys(2, t_inv, [1, 1], window[::-1]) == keys
+    for kvec in ((0, 1200), (1200, 0), (0, 601), (17, 0)):
+        assert class_key(std, member_lattice(fam, kvec)) in keys
