@@ -437,8 +437,7 @@ def _triangular_step(p: int, hcols, bw):
     of N, the transition a key is normalized from included; and dividing a
     reduced form by p^s leaves it reduced.  Since pL <= N <= L and H has an
     entry of valuation 0, s is 0 or 1: it is 1 exactly when p divides every
-    entry, which a diagonal entry 1 rules out at once.  So no determinant,
-    modulus or pivot search is needed.
+    entry.  So no determinant, modulus or pivot search is needed.
     """
     cols = []
     for terms in bw:
@@ -451,13 +450,8 @@ def _triangular_step(p: int, hcols, bw):
                 col[r] += c * hc[r]
         cols.append(col)
     _reduce_triangular(cols)
-    for j in range(len(cols)):
-        if cols[j][j] == 1:
-            return cols, 0
-    for col in cols:
-        for x in col:
-            if x % p:
-                return cols, 0
+    if any(x % p for col in cols for x in col):
+        return cols, 0
     return [[x // p for x in col] for col in cols], 1
 
 

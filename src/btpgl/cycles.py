@@ -239,8 +239,7 @@ class InstanceSample:
 
 
 def hyperplane_kernel(form: DualForm) -> SplitSubmodule:
-    """The split rank n-1 kernel of a primitive form a, kept with a as its
-    forms and with its echelon mod p.
+    """The split rank n-1 kernel of a primitive form a, kept with a as its forms.
 
     With a_j the first unit entry, the columns e_i - (a_i/a_j) e_j (i != j)
     are integral and a kills them.  Mod p they hold the identity off
@@ -248,33 +247,16 @@ def hyperplane_kernel(form: DualForm) -> SplitSubmodule:
     saturation.  The forms vanishing on it are the c*a, c in K, and c*a is
     integral iff c*a_j is, iff c is; so R*a is every integral one.  This
     proves every check of the public constructor, so the module skips them.
-
-    Mod p the columns are independent and a kills them, so they span
-    ker(a mod p), of dimension n-1.  With l the last index where a_l is a
-    unit, a kills each row e_i - (a_i/a_l) e_l (i != l) mod p; its first
-    nonzero entry is 1 at i (for i > l, a_i = 0 mod p and the row is e_i),
-    and it is 0 at every other index but l.  So these rows are the reduced
-    row echelon form of the columns mod p, with pivots every i != l, read
-    from the n residues of a with no column reduced.
     """
-    a, n, ctx = form.coefficients, form.ambient.dim, form.ambient.ctx
-    j = next(i for i in range(n) if ctx.is_unit(a[i]))
+    a, n = form.coefficients, form.ambient.dim
+    j = next(i for i in range(n) if form.ambient.ctx.is_unit(a[i]))
     zero, one = Fraction(0), Fraction(1)
     cols = tuple(
         tuple(-a[i] / a[j] if k == j else one if k == i else zero for k in range(n))
         for i in range(n)
         if i != j
     )
-    p, residues = ctx.p, [ctx.residue(x) for x in a]
-    last = max(i for i in range(n) if residues[i])
-    scale = -pow(residues[last], -1, p)
-    rows = tuple(
-        tuple(residues[i] * scale % p if k == last else int(k == i) for k in range(n))
-        for i in range(n)
-        if i != last
-    )
-    echelon = (rows, tuple(i for i in range(n) if i != last))
-    return SplitSubmodule._trusted(form.ambient, cols, forms=(a,), echelon=echelon)
+    return SplitSubmodule._trusted(form.ambient, cols, forms=(a,))
 
 
 def intersect_hyperplanes(forms) -> int:

@@ -16,8 +16,7 @@ valid by construction, so they take private constructors that check nothing:
   ball, reference * H with H triangular with a p-power diagonal
   (:func:`btpgl.building.bfs_ball`), are nonsingular.
 * ``SplitSubmodule._trusted``: the kernel of a primitive form, with that form
-  as its forms and its echelon mod p (the proofs are in
-  :func:`btpgl.cycles.hyperplane_kernel`); a
+  as its forms (the proof is in :func:`btpgl.cycles.hyperplane_kernel`); a
   saturation, whose columns are the first r columns of the unimodular
   C^{-1} of :func:`_eliminate`; a complement, whose columns are some of an
   already checked module's; and a partial intersection L_j of a cycle
@@ -163,14 +162,12 @@ class SplitSubmodule:
         object.__setattr__(self, "_echelon", None)
 
     @classmethod
-    def _trusted(cls, ambient: LatticeBasis, columns: tuple, forms=None, echelon=None) -> "SplitSubmodule":
-        """A submodule built without any check, for columns (and forms and
-        the :meth:`echelon` pair, when given) that are tuples of Fractions
-        and split by construction; the module docstring lists the callers
-        and their proofs."""
+    def _trusted(cls, ambient: LatticeBasis, columns: tuple, forms=None) -> "SplitSubmodule":
+        """A submodule built without any check, for columns (and forms, when
+        given) that are tuples of Fractions and split by construction; the
+        module docstring lists the callers and their proofs."""
         sub = cls.__new__(cls)
         sub._set(ambient, columns, forms)
-        object.__setattr__(sub, "_echelon", echelon)
         return sub
 
     def __setattr__(self, name, value):

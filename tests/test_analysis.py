@@ -134,20 +134,6 @@ def test_hyperplane_cycles_come_from_their_forms(monkeypatch):
     assert counts["intersect_spans"] == counts["nullspace"] == 0
 
 
-def test_hyperplane_kernels_carry_their_echelon(monkeypatch):
-    # each kernel's echelon mod p comes from its form's residues, one per
-    # coefficient: the split check and the annihilators reduce no column
-    # and echelon nothing; analyze echelons the stacked annihilators and
-    # the special intersection
-    sample = cycles.random_instance(seed=5, n=5, p=3, d=5, max_val=3, mode="hyperplanes")
-    data = serialize.instance_to_json(3, sample.config.ambient, sample.forms)
-    counts = count_pass_calls(monkeypatch)
-    cfg = serialize.parse_instance(data)[3]
-    assert (counts["residue"], counts["echelon_mod_p"]) == (5 * 5, 0)
-    assert cycles.verify_intersection_identity(cfg).agree
-    assert (counts["residue"], counts["echelon_mod_p"]) == (5 * 5, 2)
-
-
 def test_each_basis_is_eliminated_once(monkeypatch):
     counts = count_eliminations(monkeypatch)
 

@@ -814,6 +814,26 @@ def test_block_scaled_keys_match_member_keys(n, p, seed):
     assert keys == {class_key(other, member_lattice(fam, k)) for k in shifted}
 
 
+def test_kernel_transform_is_the_subspaces_triangular_basis():
+    # B_W of the right kernel W of rows mod p is the one basis change that
+    # _triangular_transforms lists for W; a single row, which takes the
+    # closed form, gives what the echelon path gives once a zero row joins it
+    rng = random.Random(7)
+    for n in range(2, 5):
+        for p in (2, 3, 5):
+            listed = set(building._triangular_transforms(n, p))
+            for v in product(range(p), repeat=n):
+                if not any(v):
+                    continue
+                one = tuple(map(tuple, building._kernel_transform([list(v)], n, p)))
+                assert one in listed
+                assert one == tuple(map(tuple, building._kernel_transform([list(v), [0] * n], n, p)))
+            for _ in range(20):
+                rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(2, n + 1))]
+                if 0 < len(linalg.echelon_mod_p(rows, p)[1]) < n:
+                    assert tuple(map(tuple, building._kernel_transform(rows, n, p))) in listed
+
+
 def test_family_window_keys_take_one_elimination(monkeypatch):
     # the all-zero member is keyed from its transition; the other 60 members
     # of the window are one triangular step each from a member already keyed

@@ -147,32 +147,6 @@ def test_hyperplane_kernel_is_the_saturated_kernel():
                     assert ker.forms() == (form.coefficients,)
 
 
-def test_hyperplane_kernel_echelon_is_the_residues_echelon():
-    # the echelon kept at construction against the reduced echelon form of
-    # the kernel's reduced columns; the first unit and the last one (l)
-    # take every pair of positions, l equal to the first or after it
-    rng = random.Random(36)
-    checked = 0
-    for n in range(2, 6):
-        for p in (2, 3, 5):
-            ctx = PAdicContext(p)
-            for first, last in product(range(n), repeat=2):
-                if last < first:
-                    continue
-                for trial in range(4):
-                    ambient = std(ctx, n) if trial % 2 else random_lattice(rng, ctx, n, 2)
-                    coeffs = [
-                        _form_entry(rng, p, i in (first, last) or (first < i < last and rng.random() < 0.5))
-                        for i in range(n)
-                    ]
-                    ker = hyperplane_kernel(DualForm(ambient, tuple(coeffs)))
-                    rows, pivots = linalg.echelon_mod_p([[ctx.residue(x) for x in c] for c in ker.columns], p)
-                    assert ker.echelon() == (tuple(map(tuple, rows)), tuple(pivots))
-                    assert pivots == [i for i in range(n) if i != last]
-                    checked += 1
-    assert checked == 4 * 3 * sum(n * (n + 1) // 2 for n in range(2, 6))
-
-
 def test_intersect_hyperplanes_examples():
     lattice, forms = coordinate_forms(ctx3, 3)
     assert intersect_hyperplanes(forms) == 0
