@@ -195,10 +195,11 @@ def class_key(reference: LatticeBasis, lattice: LatticeBasis) -> ClassKey:
     return _key_from_integer_rows(reference.ctx.p, _integer_transition(reference, lattice))
 
 
-def block_scaled_keys(p: int, transition, ranks, exponent_tuples) -> set:
+def block_scaled_keys(p: int, transition, inverse, ranks, exponent_tuples) -> set:
     """Class keys, relative to a reference, of the lattices obtained from the
-    lattice with the given transition from it by scaling its consecutive
-    column blocks, of sizes `ranks`, by p^{k_a}, one per tuple k.
+    lattice with the given transition from it, and its inverse, by scaling
+    its consecutive column blocks, of sizes `ranks`, by p^{k_a}, one per
+    tuple k.
 
     With T the transition scaled to integers (:func:`_integer_rows`), the
     member k is L_k = T D_k R^n, D_k = diag(p^{k_a}) blockwise.  Adding a
@@ -225,6 +226,11 @@ def block_scaled_keys(p: int, transition, ranks, exponent_tuples) -> set:
     (p^g G_a H mod p^{e+1}) / p^e, which needs p^g G only modulo p^{g+S+1},
     reduced to integers once.  No member gets a determinant, a modulus
     doubling or a pivot search.
+
+    G comes from the given inverse: T is u p^s times the transition, u a
+    unit and s = -min val(transition).  So with d the lcm of the inverse's
+    denominators, v = val d and g = v + s, d inverse / (d / p^v) is the
+    integral u p^g G, and the unit u changes no kernel mod p.
     """
     t = _integer_rows(p, transition)
     members = set()
@@ -232,14 +238,12 @@ def block_scaled_keys(p: int, transition, ranks, exponent_tuples) -> set:
         lo = min(kvec)
         members.add(tuple(k - lo for k in kvec) if lo else tuple(kvec))
     n, top = len(t), max(map(max, members), default=0)
-    g_inv = linalg.inv(t)
-    # p^g G = (d G) / (d / p^g), d the lcm of G's reduced denominators and
-    # g = val d, so that p^g G is integral
-    d = lcm(*(x.denominator for row in g_inv for x in row))
-    g = int_val(d, p)
+    d = lcm(*(x.denominator for row in inverse for x in row))
+    v = int_val(d, p)
+    g = v - _min_val(p, transition)
     mod = p ** (g + top + 1)
-    unit = pow(d // p**g, -1, mod)
-    gz = [[x.numerator * (d // x.denominator) * unit % mod for x in row] for row in g_inv]
+    unit = pow(d // p**v, -1, mod)
+    gz = [[x.numerator * (d // x.denominator) * unit % mod for x in row] for row in inverse]
     ends = [0, *accumulate(ranks)]
     blocks = [gz[a:b] for a, b in zip(ends, ends[1:])]
     done = {(0,) * len(ranks): (_key_from_integer_rows(p, t), 0)}

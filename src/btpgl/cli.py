@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -195,6 +196,9 @@ def cmd_export_dot(args) -> int:
     }
     dot_path = f"{args.out}.dot"
     json_path = f"{args.out}.json"
+    for path in (dot_path, json_path):
+        if args.instance and os.path.exists(path) and os.path.samefile(path, args.instance):
+            raise ValueError(f"--out would write {path} over the instance {args.instance}")
     with open(dot_path, "w", encoding="utf-8") as fh:
         fh.write(dot)
     with open(json_path, "w", encoding="utf-8") as fh:

@@ -420,7 +420,7 @@ def _window(reference: LatticeBasis, family: VertexFamily):
         for head in product(range(1, s + 1), repeat=i)
         for tail in product(range(s + 1), repeat=m - 1 - i)
     )
-    return (s + 1) ** m - s**m, lambda: block_scaled_keys(p, t_inv, ranks, window)
+    return (s + 1) ** m - s**m, lambda: block_scaled_keys(p, t_inv, t, ranks, window)
 
 
 def family_window_keys(reference: LatticeBasis, family: VertexFamily):
@@ -499,19 +499,6 @@ def verify_intersection_identity(cfg: CycleConfiguration) -> IdentityReport:
     lhs = intersect_hyperplanes(realized_forms(cfg))
     rhs = distance_to_family(cfg.ambient, family)
     return IdentityReport(lhs=lhs, rhs=rhs, agree=lhs == rhs, properness=properness_check(cfg))
-
-
-def apartment_lines(forms):
-    """The n lines obtained by intersecting the kernels of all forms but one:
-    the partial intersections of the hyperplane configuration.
-
-    Requires the coefficient matrix to be nonsingular; the lines then span V
-    and define the apartment attached to the generic-fibre hyperplanes.
-    """
-    forms = list(forms)
-    intersect_hyperplanes(forms)  # validates the forms, raises when singular
-    cfg = CycleConfiguration(forms[0].ambient, [hyperplane_kernel(f) for f in forms])
-    return list(analyze(cfg).partials)
 
 
 def apartment_distance_report(forms) -> ApartmentReport:

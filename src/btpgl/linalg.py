@@ -3,23 +3,22 @@
 Rational routines take list-of-rows matrices of ints or Fractions and return
 Fractions, except :func:`matmul`: its sums start from int 0, so integer inputs
 give ints and an entry with no nonzero product stays int 0.  The others share
-one integer kernel: each row is scaled by the lcm of its denominators, and a
-fraction-free Gauss-Jordan elimination (pivot on the first nonzero entry,
-clear by cross-multiplication, divide each new row by its content) leaves
-rows proportional to the reduced row echelon form.  Fractions are built only
-from its final entries.  The reduced form and the solution of a uniquely
-solvable system do not depend on how the rows were scaled, so the outputs
-equal those of an elimination in Fractions.  :func:`solve` is the one solver:
-every change of basis B^{-1} A, the inverse included, is one elimination of
-[B | A].  The determinant is the Bareiss determinant of the row-scaled matrix
-divided by the product of the scales.  Mod-p routines work on list-of-rows
-matrices of ints and return canonical reduced echelon data.
+one integer kernel, :func:`_int_rref`: each row is scaled by the lcm of its
+denominators, and a fraction-free Gauss-Jordan elimination with Bareiss
+division leaves every pivot entry equal to the last pivot d, so that the rows
+over d are the reduced row echelon form, and sign * d is the determinant of
+the scaled rows.  Fractions are built only from its final entries.  The
+reduced form and the solution of a uniquely solvable system do not depend on
+how the rows were scaled, so the outputs equal those of an elimination in
+Fractions.  :func:`solve` is the one solver: every change of basis B^{-1} A,
+the inverse included, is one elimination of [B | A].  Mod-p routines work on
+list-of-rows matrices of ints and return canonical reduced echelon data.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 
 def identity(n: int):
@@ -50,10 +49,6 @@ def matmul(a, b):
     return out
 
 
-def matvec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
 def _scaled_row(row):
     """(s, s * row as ints) with s the lcm of the row's denominators."""
     s = 1
@@ -65,14 +60,34 @@ def _scaled_row(row):
 def _int_rref(rows, ncols):
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Pivots on the first nonzero entry of each of the first `ncols` columns,
-    clears the pivot column in every other row by cross-multiplication and
-    divides each new row by its content.  Returns the pivot columns; the
-    reduced row echelon entry of row i in column c is
-    rows[i][c] / rows[i][pivots[i]].
+    Pivots on the first nonzero entry of each of the first `ncols` columns
+    and replaces every other row by (a * row - b * pivot_row) / d: a the
+    pivot, b the row's entry in its column, d the previous pivot (a row
+    with b = 0 is kept when a = d, which the update would not change).
+    Returns the pivot columns, the sign of the row permutation and the last
+    pivot.
+
+    Every division is exact.  After k steps let P be the input rows now in
+    the first k places, in that order, and C their pivot columns, so that
+    D_k = det P_C is the k-th pivot (D_0 = 1).  Row i < k is then row i of
+    adj(P_C) P, whose entry in column j is det P_C with its i-th column
+    replaced by column j of P (Cramer); row i >= k is D_k times the Schur
+    complement row, whose entry in column j is the (k+1)-minor on the rows
+    of P and input row i and the columns C and j (Sylvester's identity).
+    Both are minors of the input, so integers.  The update carries the
+    step-k values to the step-(k+1) ones as an identity of rationals: with
+    s the new pivot row over D_k and a = D_{k+1}, a row R_i = row_i / D_k of
+    the reduced form becomes R_i - R_i[c] s / s[c], and a times it is
+    (a * row_i - b * pivot_row) / D_k; below the pivot this is Bareiss's
+    update (Math. Comp. 22, 1968).  So every quotient is an integer minor.
+    At the end every pivot entry is d and the other entries of the pivot
+    columns are 0: the reduced row echelon entry of row i in column c is
+    rows[i][c] / d, and a square matrix of full rank has determinant
+    sign * d.
     """
     nrows = len(rows)
     pivots = []
+    sign = d = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -80,53 +95,33 @@ def _int_rref(rows, ncols):
         piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         prow = rows[r]
         a = prow[c]
         for i in range(nrows):
             b = rows[i][c]
-            if b and i != r:
-                new = [a * x - b * y for x, y in zip(rows[i], prow)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
+            if i != r and (b or a != d):
+                rows[i] = [(a * x - b * y) // d for x, y in zip(rows[i], prow)]
+        d = a
         pivots.append(c)
-    return pivots
-
-
-def _bareiss(a) -> int:
-    """Determinant of a nonempty square integer matrix, overwriting it."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            piv = None
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            a[t], a[piv] = a[piv], a[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
+    return pivots, sign, d
 
 
 def int_det(a) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    return _bareiss([[int(x) for x in row] for row in a])
+    """Exact determinant of an integer matrix, by :func:`_int_rref`."""
+    rows = [[int(x) for x in row] for row in a]
+    pivots, sign, d = _int_rref(rows, len(rows))
+    return sign * d if len(pivots) == len(rows) else 0
 
 
 def det(a) -> Fraction:
     if not a:
         return Fraction(1)
     scales, rows = zip(*map(_scaled_row, a))
-    return Fraction(_bareiss(list(rows)), prod(scales))
+    pivots, sign, d = _int_rref(list(rows), len(a))
+    return Fraction(sign * d, prod(scales)) if len(pivots) == len(a) else Fraction(0)
 
 
 def solve(b, a):
@@ -135,15 +130,16 @@ def solve(b, a):
 
     Scaling a row of [B | A] keeps the system, so each is scaled to integers
     and one elimination runs on B's columns.  With independent columns it
-    leaves their identity, up to each row's pivot, over the first r rows, and
-    zeros below them: X is read off the right half above, and A's columns lie
-    in B's span iff the right half below is zero.
+    leaves d times their identity over the first r rows and zeros below
+    them: X is the right half above over d, and A's columns lie in B's span
+    iff the right half below is zero.
     """
     r = len(b[0]) if b else 0
     aug = [_scaled_row([*brow, *arow])[1] for brow, arow in zip(b, a, strict=True)]
-    if len(_int_rref(aug, r)) < r or any(any(row[r:]) for row in aug[r:]):
+    pivots, _, d = _int_rref(aug, r)
+    if len(pivots) < r or any(any(row[r:]) for row in aug[r:]):
         return None
-    return [[Fraction(x, row[i]) for x in row[r:]] for i, row in enumerate(aug[:r])]
+    return [[Fraction(x, d) for x in row[r:]] for row in aug[:r]]
 
 
 def inv(a):
@@ -156,7 +152,7 @@ def inv(a):
 
 def rank(a) -> int:
     rows = [_scaled_row(row)[1] for row in a]
-    return len(_int_rref(rows, len(rows[0]) if rows else 0))
+    return len(_int_rref(rows, len(rows[0]) if rows else 0)[0])
 
 
 def nullspace(a, cols=None):
@@ -164,13 +160,13 @@ def nullspace(a, cols=None):
     With no rows the kernel is K^cols, so cols must then be given."""
     rows = [_scaled_row(row)[1] for row in a]
     cols = len(rows[0]) if rows else cols or 0
-    pivots = _int_rref(rows, cols)
+    pivots, _, d = _int_rref(rows, cols)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for row, pc in zip(rows, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
+            v[pc] = Fraction(-row[fc], d)
         basis.append(v)
     return basis
 

@@ -114,6 +114,11 @@ def class_equal(l1: LatticeBasis, l2: LatticeBasis) -> bool:
     return ctx.val(linalg.det(t)) == l1.dim * m
 
 
+def matvec(a, v):
+    """The product of a matrix, given as rows, with a vector, in Fractions."""
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
 def evaluate_coords(form: DualForm, coords) -> Fraction:
     """Value of the form on a vector given in ambient coordinates."""
     return sum((a * Fraction(c) for a, c in zip(form.coefficients, coords)), Fraction(0))
@@ -122,7 +127,7 @@ def evaluate_coords(form: DualForm, coords) -> Fraction:
 def apply_automorphism(cfg: CycleConfiguration, u_rows) -> CycleConfiguration:
     """Image configuration under the lattice automorphism with matrix U."""
     subs = [
-        SplitSubmodule(cfg.ambient, [linalg.matvec(u_rows, list(c)) for c in s.columns])
+        SplitSubmodule(cfg.ambient, [matvec(u_rows, list(c)) for c in s.columns])
         for s in cfg.submodules
     ]
     return CycleConfiguration(cfg.ambient, subs)
@@ -133,7 +138,7 @@ def rebase(cfg: CycleConfiguration, u_rows) -> CycleConfiguration:
     amb2 = right_multiply(cfg.ambient, u_rows)
     uinv = linalg.inv(u_rows)
     subs = [
-        SplitSubmodule(amb2, [linalg.matvec(uinv, list(c)) for c in s.columns])
+        SplitSubmodule(amb2, [matvec(uinv, list(c)) for c in s.columns])
         for s in cfg.submodules
     ]
     return CycleConfiguration(amb2, subs)
@@ -308,16 +313,15 @@ def exact_column_hnf(rows, p):
 
 def count_eliminations(monkeypatch):
     """Count the integer eliminations from now on, under "eliminations":
-    each solve, inverse, rank and nullspace is one linalg._int_rref, each
-    determinant one linalg._bareiss."""
+    each solve, inverse, rank, nullspace and determinant is one
+    linalg._int_rref."""
     counts = {"eliminations": 0}
-    for name in ("_int_rref", "_bareiss"):
 
-        def counted(*args, _real=getattr(linalg, name)):
-            counts["eliminations"] += 1
-            return _real(*args)
+    def counted(*args, _real=linalg._int_rref):
+        counts["eliminations"] += 1
+        return _real(*args)
 
-        monkeypatch.setattr(linalg, name, counted)
+    monkeypatch.setattr(linalg, "_int_rref", counted)
     return counts
 
 
@@ -329,7 +333,7 @@ def member_lattice(family: VertexFamily, exponents) -> LatticeBasis:
         raise ValueError("need one exponent per generator")
     p, rows = family.ambient.ctx.p, family.ambient.rows()
     cols = [
-        [Fraction(p) ** k * x for x in linalg.matvec(rows, list(c))]
+        [Fraction(p) ** k * x for x in matvec(rows, list(c))]
         for g, k in zip(family.generators, exponents)
         for c in g.columns
     ]

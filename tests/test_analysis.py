@@ -130,7 +130,8 @@ def test_hyperplane_cycles_come_from_their_forms(monkeypatch):
     assert cycles.verify_intersection_identity(cfg).agree
     # L0 = 0 and the L_j come from one inverse of the forms
     assert counts["intersect_spans"] == counts["nullspace"] == 0
-    assert len(cycles.apartment_lines(sample.forms)) == 5
+    fresh = cycles.CycleConfiguration(cfg.ambient, [cycles.hyperplane_kernel(f) for f in sample.forms])
+    assert len(cycles.analyze(fresh).partials) == 5
     assert counts["intersect_spans"] == counts["nullspace"] == 0
 
 
@@ -165,6 +166,12 @@ def test_each_basis_is_eliminated_once(monkeypatch):
         else:
             cycles.decompose_intersection(cfg)
         assert taken() == use
+    # the family window reads the transition and its inverse that the family
+    # distance reads, so its keys take no elimination
+    sample = cycles.random_instance(seed=3, n=3, p=2, d=3, max_val=3, mode="hyperplanes")
+    fam = cycles.vertex_family(sample.config)
+    taken()
+    assert len(cycles.family_window_keys(sample.config.ambient, fam)) == 61 and taken() == 0
 
 
 def test_cli_intersect_higherdim_is_one_pass(tmp_path, monkeypatch, capsys):

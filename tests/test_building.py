@@ -688,7 +688,8 @@ def test_class_keys_take_no_determinant(monkeypatch):
     monkeypatch.setattr(linalg, "int_det", counted)
     class_key(ref, other)
     window = list(product(range(3), repeat=m))
-    targets = building.block_scaled_keys(2, linalg.solve(ref.rows(), zero.rows()), ranks, window)
+    t = linalg.solve(ref.rows(), zero.rows())
+    targets = building.block_scaled_keys(2, t, linalg.inv(t), ranks, window)
     bfs_dist(ref, other, targets, 2)
     assert calls == []
     assert targets == {class_key(ref, member_lattice(fam, k)) for k in window}
@@ -810,7 +811,8 @@ def test_block_scaled_keys_match_member_keys(n, p, seed):
     ranks = [g.rank for g in fam.generators]
     shifted = list(product(range(-1, 3), repeat=m))
     other = random_lattice(random.Random(seed), PAdicContext(p), n, 2)
-    keys = building.block_scaled_keys(p, linalg.solve(other.rows(), zero.rows()), ranks, shifted)
+    t = linalg.solve(other.rows(), zero.rows())
+    keys = building.block_scaled_keys(p, t, linalg.inv(t), ranks, shifted)
     assert keys == {class_key(other, member_lattice(fam, k)) for k in shifted}
 
 
@@ -870,6 +872,6 @@ def test_deep_window_walks_without_recursion():
     window = [(0, k) for k in range(1201)] + [(k, 0) for k in range(1, 1201)]
     keys = family_window_keys(std, fam)
     assert len(keys) == len(window) == 2401
-    assert building.block_scaled_keys(2, t_inv, [1, 1], window[::-1]) == keys
+    assert building.block_scaled_keys(2, t_inv, linalg.inv(t_inv), [1, 1], window[::-1]) == keys
     for kvec in ((0, 1200), (1200, 0), (0, 601), (17, 0)):
         assert class_key(std, member_lattice(fam, kvec)) in keys

@@ -344,6 +344,20 @@ def test_export_dot_with_instance_highlights_geodesic(tmp_path, capsys):
     assert "fillcolor" in dot
 
 
+@pytest.mark.parametrize("suffix", [".json", ".dot"])
+def test_export_dot_refuses_to_write_over_its_instance(tmp_path, capsys, suffix):
+    # --out X with --instance X.json (or X.dot), spelled through another
+    # path: exit 1, the instance keeps its bytes and nothing is written
+    inst = write(tmp_path / f"inst{suffix}", manin_instance(2, 1))
+    before = (tmp_path / f"inst{suffix}").read_bytes()
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "sub" / ".." / "inst"
+    assert main(["export-dot", "--n", "2", "--p", "2", "--radius", "1", "--out", str(out), "--instance", inst]) == 1
+    assert "over the instance" in capsys.readouterr().err
+    assert (tmp_path / f"inst{suffix}").read_bytes() == before
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["inst" + suffix, "sub"]
+
+
 def test_export_dot_cap_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BTPGL_ENUM_CAP", "2")
     rc = main(["export-dot", "--n", "2", "--p", "2", "--radius", "1", "--out", str(tmp_path / "x")])

@@ -15,7 +15,6 @@ from btpgl.cycles import (
     VertexFamily,
     analyze,
     apartment_distance_report,
-    apartment_lines,
     decompose_intersection,
     distance_to_family,
     family_bfs_distance,
@@ -338,7 +337,8 @@ def test_apartment_report_strict_gap():
     assert rep.intersection_number == 2
     assert rep.dist_to_apartment == 1
     # cross-check the distance with the BFS oracle over the apartment family
-    fam = VertexFamily(lattice, tuple(apartment_lines(forms)))
+    cfg = CycleConfiguration(lattice, [hyperplane_kernel(f) for f in forms])
+    fam = VertexFamily(lattice, analyze(cfg).partials)
     keys = family_window_keys(lattice, fam)
     assert bfs_dist(lattice, lattice, keys, 1) == 1
 

@@ -13,6 +13,7 @@ from helpers import (
     fraction_nullspace,
     fraction_rank,
     fraction_solve_columns,
+    matvec,
 )
 
 
@@ -44,7 +45,7 @@ def test_nullspace_annihilates():
     basis = linalg.nullspace(a)
     assert len(basis) == 2
     for v in basis:
-        assert all(x == 0 for x in linalg.matvec(a, v))
+        assert all(x == 0 for x in matvec(a, v))
 
 
 def solve_column(cols, target):
@@ -119,11 +120,27 @@ def entries(p):
 @st.composite
 def matrices(draw, square=False):
     """Matrices of 0..5 rows, often with the last row a combination of the
-    first two, so singular and rank-deficient inputs come up."""
+    first two, and sometimes a product L R of rank 0..min(rows, cols) whose
+    columns may be zero or multiples of earlier ones, so singular and
+    rank-deficient inputs and skipped pivot columns come up."""
     p = draw(st.sampled_from((2, 3, 5)))
     nrows = draw(st.integers(0, 5))
     ncols = nrows if square else draw(st.integers(0, 5))
     e = entries(p)
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, min(nrows, ncols)))
+        cols = []
+        for _ in range(ncols):
+            kind = draw(st.sampled_from(("zero", "dependent", "free") if cols else ("zero", "free")))
+            if kind == "zero":
+                cols.append([0] * k)
+            elif kind == "dependent":
+                x = draw(st.integers(-3, 3))
+                cols.append([x * v for v in draw(st.sampled_from(cols))])
+            else:
+                cols.append([draw(e) for _ in range(k)])
+        left = [[draw(e) for _ in range(k)] for _ in range(nrows)]
+        return [[sum((x * y for x, y in zip(row, col)), 0) for col in cols] for row in left]
     a = [[draw(e) for _ in range(ncols)] for _ in range(nrows)]
     if nrows >= 2 and draw(st.booleans()):
         x, y = draw(st.integers(-3, 3)), draw(e)
@@ -169,7 +186,7 @@ def test_solve_columns_matches_fraction_elimination(a, data):
         return
     e = entries(3)
     # a target in the span of the columns, and one that usually lies outside
-    inside = linalg.matvec(a, [data.draw(e) for _ in cols])
+    inside = matvec(a, [data.draw(e) for _ in cols])
     outside = [data.draw(e) for _ in a]
     for target in (inside, outside):
         assert same(solve_column(cols, target), fraction_solve_columns(cols, target))
