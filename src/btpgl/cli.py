@@ -60,9 +60,9 @@ def cmd_intersect(args) -> int:
     if report.kind is cycles.Properness.EMPTY_INTERSECTION:
         _print_json({"number": 0})
         return EXIT_OK
-    if cfg.codim_sum() == cfg.ambient.dim:
-        # raises ImproperGenericIntersection when the spans meet over K
-        number = cycles.intersect_hyperplanes(cycles.realized_forms(cfg))
+    number = cycles.analyze(cfg).number
+    if number is None and cfg.codim_sum() == cfg.ambient.dim:
+        raise ImproperGenericIntersection("coefficient matrix is singular")
     if report.kind is cycles.Properness.IMPROPER:
         print("Improper: cycles do not meet properly on the model", file=sys.stderr)
         return EXIT_IMPROPER

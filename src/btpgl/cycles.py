@@ -21,7 +21,7 @@ without shared state.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -77,23 +77,23 @@ class CycleAnalysis:
 
     generic is L0, the saturation of the common K-intersection of the spans;
     special is the reduced echelon basis of the common F_p-intersection of
-    the reductions; properness classifies the two.  The partial
-    intersections L_j and the complements S_j of L0 in them are computed
-    on first use, from one inverse (at c = n, :func:`analyze`'s).  It holds
-    the cycles, not the configuration that keeps it: no reference cycle.
+    the reductions; properness classifies the two.  number is val det A, A
+    the stacked forms, when c = n and det A != 0, else None.  The partial
+    intersections L_j and the complements S_j of L0 in them are computed on
+    first use, from one inverse.  It holds the cycles, not the configuration
+    that keeps it: no reference cycle.
     """
 
     submodules: tuple
     generic: SplitSubmodule
     special: tuple
     properness: PropernessReport
-    _inverse: list | None = field(default=None, repr=False, compare=False)
+    number: int | None
 
     @cached_property
     def complements(self) -> tuple:
         """S_j, a split complement of L0 in L_j, for each cycle j: the
-        saturation of block j of the first c columns of Q^{-1}, or of the
-        A^{-1} that :func:`analyze` took (then L0 = 0; dropped once read).
+        saturation of block j of the first c columns of Q^{-1}.
 
         A stacks every cycle's forms (c rows, grouped by cycle), N is L0's
         columns and J the pivots of N mod p, so N_J is a unit minor.  Q is
@@ -111,16 +111,13 @@ class CycleAnalysis:
         in X_j's K-span: w is in S_j, its saturation.  So L_j = L0 + S_j,
         direct, and the columns of L0 and S_j are a basis of L_j.
         """
-        l0, q_inv = self.generic, self._inverse
+        l0 = self.generic
         n = l0.ambient.dim
-        if q_inv is None:
-            forms = [f for s in self.submodules for f in s.forms()]
-            pivots = l0.echelon()[1] if l0.rank else ()
-            if len(forms) + len(pivots) != n:
-                raise RankMismatch(f"the {len(forms)} forms of the cycles are dependent")
-            q_inv = linalg.inv(forms + [[int(i == j) for i in range(n)] for j in pivots])
-        object.__setattr__(self, "_inverse", None)
-        cols = linalg.transpose(q_inv)
+        forms = [f for s in self.submodules for f in s.forms()]
+        pivots = l0.echelon()[1] if l0.rank else ()
+        if len(forms) + len(pivots) != n:
+            raise RankMismatch(f"the {len(forms)} forms of the cycles are dependent")
+        cols = linalg.transpose(linalg.inv(forms + [[int(i == j) for i in range(n)] for j in pivots]))
         ends = [0, *accumulate(n - s.rank for s in self.submodules)]
         return tuple(saturate_coords(l0.ambient, cols[a:b]) for a, b in zip(ends, ends[1:]))
 
@@ -287,9 +284,9 @@ def analyze(cfg: CycleConfiguration) -> CycleAnalysis:
     dimension r0 = n - c must be attained over K and the reduced intersection
     may exceed it by at most one.  Everything else is improper on the model.
 
-    At c = n, L0 = ker A is 0 exactly when the stacked forms A have an
-    inverse, and that one elimination also gives the L_j
-    (:attr:`CycleAnalysis.complements`); else :func:`intersect_spans` gives L0.
+    At c = n, L0 = ker A is 0 exactly when det A != 0, A the stacked forms,
+    and val det A is then the intersection number; else :func:`intersect_spans`
+    gives L0.  The L_j take their own inverse, so a classification takes none.
     The special intersection is ker(A mod p): a split N_j reduces to the
     span of its echelon's r_j rows, cut out by their (n - r_j)-dimensional
     right kernel, so the common reduction is the kernel of all those kernels
@@ -303,9 +300,8 @@ def analyze(cfg: CycleConfiguration) -> CycleAnalysis:
     n = cfg.ambient.dim
     c = cfg.codim_sum()
     p = cfg.ambient.ctx.p
-    forms = [f for s in cfg.submodules for f in s.forms()]
-    inverse = linalg.solve(forms, linalg.identity(n)) if c == n else None
-    generic = SplitSubmodule._trusted(cfg.ambient, ()) if inverse else intersect_spans(cfg.ambient, cfg.submodules)
+    det = linalg.det([f for s in cfg.submodules for f in s.forms()]) if c == n else 0
+    generic = SplitSubmodule._trusted(cfg.ambient, ()) if det else intersect_spans(cfg.ambient, cfg.submodules)
     annihilators = [a for s in cfg.submodules for a in linalg.kernel_mod_p(*s.echelon(), n, p)]
     special = linalg.kernel_mod_p(*linalg.echelon_mod_p(annihilators, p), n, p)
     special = linalg.echelon_mod_p(special, p)[0]
@@ -324,7 +320,7 @@ def analyze(cfg: CycleConfiguration) -> CycleAnalysis:
         generic=generic,
         special=tuple(tuple(r) for r in special),
         properness=PropernessReport(kind=kind, r0=r0, generic_dim=generic_dim, special_dim=special_dim),
-        _inverse=inverse,
+        number=cfg.ambient.ctx.val(det) if det else None,
     )
     object.__setattr__(cfg, "_analysis", analysis)
     return analysis
@@ -471,13 +467,13 @@ def verify_intersection_identity(cfg: CycleConfiguration) -> IdentityReport:
     """Check that the algebraic intersection number equals the distance from
     the model's vertex to the vertex family of partial intersections.
 
-    The left side is the determinant valuation of an assembled form matrix;
-    the right side is the exact family distance.  Both are computed
-    independently.  Building the family first raises ProperFail unless the
-    codimensions sum to n and the configuration is proper.
+    The left side is val det A (:attr:`CycleAnalysis.number`), A the
+    stacked forms; the right side is the exact family distance.  Both are
+    computed independently.  Building the family first raises ProperFail
+    unless the codimensions sum to n and the configuration is proper.
 
-    Why they agree.  Here c = n, so A, the stacked forms, is the matrix that
-    :func:`analyze` inverts for :attr:`CycleAnalysis.complements`; generator a
+    Why they agree.  Here c = n, so A is the matrix that
+    :attr:`CycleAnalysis.complements` inverts; generator a
     is S_a = (A^{-1})_a G_a, block a of A^{-1} saturated, G_a invertible.
     In :func:`nearest_family_member`, T^{-1} = F = A^{-1} G and T = G^{-1} A.
     A matrix B with a unit maximal minor, in rows or columns, keeps the least
@@ -496,7 +492,7 @@ def verify_intersection_identity(cfg: CycleConfiguration) -> IdentityReport:
     computing rhs from the family, so that it checks the building side.
     """
     family = vertex_family(cfg)
-    lhs = intersect_hyperplanes(realized_forms(cfg))
+    lhs = analyze(cfg).number
     rhs = distance_to_family(cfg.ambient, family)
     return IdentityReport(lhs=lhs, rhs=rhs, agree=lhs == rhs, properness=properness_check(cfg))
 
@@ -511,10 +507,14 @@ def apartment_distance_report(forms) -> ApartmentReport:
     while the intersection number is the sum).
     """
     forms = list(forms)
-    number = intersect_hyperplanes(forms)  # validates the forms, raises when singular
+    if not forms or len(forms) != forms[0].ambient.dim:
+        raise ValueError(f"need exactly n forms, got {len(forms)}")
     cfg = CycleConfiguration(forms[0].ambient, [hyperplane_kernel(f) for f in forms])
-    family = VertexFamily(cfg.ambient, analyze(cfg).partials)
-    return ApartmentReport(dist_to_apartment=distance_to_family(cfg.ambient, family), intersection_number=number)
+    analysis = analyze(cfg)
+    if analysis.number is None:
+        raise ImproperGenericIntersection("coefficient matrix is singular")
+    dist = distance_to_family(cfg.ambient, VertexFamily(cfg.ambient, analysis.partials))
+    return ApartmentReport(dist_to_apartment=dist, intersection_number=analysis.number)
 
 
 def higherdim_vertex_family(cfg: CycleConfiguration, complements=None) -> VertexFamily:

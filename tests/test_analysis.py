@@ -63,10 +63,10 @@ def test_verify_is_one_pass(monkeypatch):
     counts = count_pass_calls(monkeypatch)
     report = cycles.verify_intersection_identity(cfg)
     assert report.agree
-    # at c = n the inverse of the stacked forms proves L0 = 0 and gives the
-    # L_j, so no span intersection or nullspace runs; the special fibre is
-    # one mod-p echelon of the stacked annihilators and one of their
-    # kernel, and the realized forms are the cycles' forms
+    # at c = n the determinant of the stacked forms proves L0 = 0 and their
+    # inverse gives the L_j, so no span intersection or nullspace runs; the
+    # special fibre is one mod-p echelon of the stacked annihilators and one
+    # of their kernel
     assert counts["classify"] == 1
     assert counts["intersect_spans"] == counts["nullspace"] == 0
     assert counts["echelon_mod_p"] == 2
@@ -80,13 +80,18 @@ def test_partials_are_one_inverse(monkeypatch):
     for mode, d in (("hyperplanes", 5), ("submodules", 3), ("higherdim", 3)):
         sample = cycles.random_instance(seed=5, n=5, p=3, d=d, max_val=3, mode=mode)
         cfg = cycles.CycleConfiguration(sample.config.ambient, sample.config.submodules)
+        counts = count_pass_calls(monkeypatch)
+        eliminations = count_eliminations(monkeypatch)
         analysis = cycles.analyze(cfg)
+        if mode != "higherdim":
+            # at c = n the classification is det A: one elimination, no inverse
+            assert eliminations["eliminations"] == 1 and counts["inv"] == 0
         counts = count_pass_calls(monkeypatch)
         assert len(analysis.partials) == d
-        # one inverse of the completed form matrix, taken by analyze at
-        # c = n, and one saturation per cycle; no span intersection,
-        # nullspace or complement completion
-        assert counts["inv"] == (mode == "higherdim")
+        # one inverse of the completed form matrix (at c = n, of A itself)
+        # and one saturation per cycle; no span intersection, nullspace or
+        # complement completion
+        assert counts["inv"] == 1
         assert counts["saturate_coords"] == d
         assert counts["intersect_spans"] == counts["nullspace"] == counts["complete_to_complement"] == 0
         if mode == "higherdim":
@@ -102,8 +107,8 @@ def test_verify_computes_each_cycles_forms_once(monkeypatch):
     cfg = serialize.parse_instance(data)[3]
     counts = count_pass_calls(monkeypatch)
     assert cycles.verify_intersection_identity(cfg).agree
-    # one nullspace per cycle for its forms; L0 = 0 and the L_j come from
-    # one inverse, and the realized forms are the cycles' forms
+    # one nullspace per cycle for its forms; L0 = 0 comes from their
+    # determinant and the L_j from their inverse
     assert counts["nullspace"] == len(cfg.submodules) == 5
 
 
@@ -128,14 +133,14 @@ def test_hyperplane_cycles_come_from_their_forms(monkeypatch):
     # each kernel is a closed form that keeps its form
     assert counts["nullspace"] == counts["saturate_coords"] == 0
     assert cycles.verify_intersection_identity(cfg).agree
-    # L0 = 0 and the L_j come from one inverse of the forms
+    # L0 = 0 comes from the forms' determinant and the L_j from their inverse
     assert counts["intersect_spans"] == counts["nullspace"] == 0
     fresh = cycles.CycleConfiguration(cfg.ambient, [cycles.hyperplane_kernel(f) for f in sample.forms])
     assert len(cycles.analyze(fresh).partials) == 5
     assert counts["intersect_spans"] == counts["nullspace"] == 0
 
 
-def test_each_basis_is_eliminated_once(monkeypatch):
+def test_each_basis_is_eliminated_once(tmp_path, monkeypatch):
     counts = count_eliminations(monkeypatch)
 
     def taken():
@@ -145,11 +150,17 @@ def test_each_basis_is_eliminated_once(monkeypatch):
     sample = cycles.random_instance(seed=5, n=5, p=3, d=5, max_val=3, mode="hyperplanes")
     cfg = cycles.CycleConfiguration(sample.config.ambient, sample.config.submodules)
     taken()
-    # the inverse of the forms (which proves L0 = 0), the family's inverse
-    # (its independence check and its transition) and the forms' determinant
+    # the forms' determinant (which proves L0 = 0 and is lhs), their inverse
+    # (the L_j) and the family's inverse (its independence check and its
+    # transition)
     assert cycles.verify_intersection_identity(cfg).agree and taken() == 3
     report = cycles.apartment_distance_report(sample.forms)
     assert report.dist_to_apartment <= report.intersection_number and taken() == 3
+    # the command reads the number from the classification: M's determinant
+    # and the forms'
+    path = tmp_path / "hyperplanes.json"
+    path.write_text(json.dumps(serialize.instance_to_json(3, sample.config.ambient, sample.forms)))
+    assert main(["intersect", str(path)]) == 0 and taken() == 2
     for mode, use in (("submodules", 6), ("higherdim", 6)):
         sample = cycles.random_instance(seed=5, n=5, p=3, d=3, max_val=3, mode=mode)
         data = serialize.instance_to_json(3, sample.config.ambient, sample.config.submodules)
@@ -159,8 +170,8 @@ def test_each_basis_is_eliminated_once(monkeypatch):
         # mod p that also proves it split
         assert taken() == 1
         # one nullspace per cycle for its forms, the inverse of the forms,
-        # the family's inverse, and for c = n the determinant; for c < n
-        # L0's nullspace instead of the determinant
+        # the family's inverse, and for c = n the forms' determinant, which
+        # classifies; for c < n L0's nullspace instead of the determinant
         if mode == "submodules":
             assert cycles.verify_intersection_identity(cfg).agree
         else:

@@ -52,6 +52,7 @@ from helpers import (
     echeloned_special_fold,
     evaluate_coords,
     family_profile,
+    fraction_det,
     fraction_inv,
     member_lattice,
     member_window_keys,
@@ -291,8 +292,8 @@ def test_identity_on_seeded_instances():
 def test_identity_witness_is_the_inverse_form_matrix():
     # for c = n both sides equal -min val(A^{-1}), A the realized-form
     # matrix: the family generators are A^{-1}'s column blocks saturated, so
-    # U_a = 0 and V_a = min val of block a of A^{-1}; A^{-1} comes from the
-    # Fraction oracle, not from the library's solve
+    # U_a = 0 and V_a = min val of block a of A^{-1}; A^{-1} and det A come
+    # from the Fraction oracles, not from the library's kernel
     for n in (2, 3, 4, 5):
         for p in (2, 3, 5):
             for mode in ("hyperplanes", "submodules"):
@@ -303,6 +304,23 @@ def test_identity_witness_is_the_inverse_form_matrix():
                     a = [list(f.coefficients) for f in realized_forms(cfg)]
                     witness = -min(cfg.ambient.ctx.val(x) for row in fraction_inv(a) for x in row if x)
                     assert witness == report.lhs == report.rhs, (n, p, mode, seed)
+                    assert analyze(cfg).number == cfg.ambient.ctx.val(fraction_det(a)), (n, p, mode, seed)
+
+
+def test_number_is_set_exactly_when_a_is_square_and_nonsingular():
+    # val det A at c = n with det A != 0, whatever the properness (0 on the
+    # empty intersection); None for a singular A or c != n
+    lattice = std(ctx3, 3)
+    cases = [
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], Properness.EMPTY_INTERSECTION, 0),
+        ([(1, 0, 0), (1, 3, 0), (1, 0, 3)], Properness.IMPROPER, 2),
+        ([(1, 2, 0), (1, 2, 0), (0, 1, 1)], Properness.IMPROPER, None),
+    ]
+    for coeffs, kind, number in cases:
+        cfg = CycleConfiguration(lattice, [hyperplane_kernel(DualForm(lattice, c)) for c in coeffs])
+        assert (properness_check(cfg).kind, analyze(cfg).number) == (kind, number), coeffs
+    cfg = random_instance(seed=1, n=3, p=3, d=2, max_val=3, mode="higherdim").config
+    assert analyze(cfg).number is None
 
 
 def test_realized_forms_cut_out_the_cycles():
@@ -341,6 +359,16 @@ def test_apartment_report_strict_gap():
     fam = VertexFamily(lattice, analyze(cfg).partials)
     keys = family_window_keys(lattice, fam)
     assert bfs_dist(lattice, lattice, keys, 1) == 1
+
+
+def test_apartment_report_rejects_bad_forms():
+    lattice = std(ctx3, 3)
+    with pytest.raises(ValueError):
+        apartment_distance_report([])
+    with pytest.raises(ValueError):
+        apartment_distance_report([DualForm(lattice, (1, 0, 0)), DualForm(lattice, (0, 1, 0))])
+    with pytest.raises(ImproperGenericIntersection):
+        apartment_distance_report([DualForm(lattice, c) for c in ((1, 2, 0), (1, 2, 0), (0, 1, 1))])
 
 
 def test_apartment_report_exhaustive_rank_one():
